@@ -7,7 +7,6 @@ from .parity_core import (
     binom_parity,
     f_value,
     g_value,
-    product_parity,
     sum_direct,
 )
 from .registry import builtin_entries, lookup, lookup_by_coefficients
@@ -34,7 +33,6 @@ from .verifier import (
 __all__ = [
     "DEFAULT_ORACLE_BOUND",
     "binom_parity",
-    "product_parity",
     "g_value",
     "f_value",
     "sum_direct",

@@ -1,8 +1,9 @@
 """Vectorized twins of the scalar kernels, for grid sweeps and long row sums.
 
-Same math as parity_core, expressed over numpy blocks. The scalar versions
-stay the reference; tests pin these twins against them on overlapping ranges.
-Block sizes are chosen so temporaries stay around tens of megabytes.
+Same math as parity_core, expressed over numpy int64 arrays; the independent
+references these are pinned to live in tests/oracles.py. Row sums visit only
+the cells Lucas' theorem leaves alive: F(n, k) = 1 needs k to be a submask of
+n, so row n costs 2^popcount(n) cells, about N^1.585 over [0, N].
 """
 
 from __future__ import annotations
@@ -14,9 +15,17 @@ import numpy as np
 from .errors import BoundExceeded
 from .parity_core import DEFAULT_ORACLE_BOUND, Coeffs
 
-# cells per broadcast block; 2^23 int64 cells is 64 MB per temporary
-_BLOCK_CELLS = 1 << 23
-_K_CHUNK = 1 << 16
+# row_sums splits n into high and low L bits; the 3^L low (n, k) submask
+# pairs (59049 for L = 10) are built once and reused for every high part
+_LOW_BITS = 10
+
+
+def _check_int64(c: Coeffs, largest: int):
+    """Refuse arguments whose indices or a*n + b*k could leave int64."""
+    if (sum(abs(a) for a in c) + 1) * (largest + 1) >= 1 << 62:
+        raise BoundExceeded(
+            f"coefficients {tuple(c)} at indices up to {largest} overflow the int64 kernel"
+        )
 
 
 def _f_block(c: Coeffs, top_n: np.ndarray, bot_k: np.ndarray) -> np.ndarray:
@@ -32,6 +41,7 @@ def _f_block(c: Coeffs, top_n: np.ndarray, bot_k: np.ndarray) -> np.ndarray:
 def f_affine_grid(c: Coeffs, affine: tuple[int, int, int, int], bound: int) -> np.ndarray:
     """Grid of F(p*n+q, p2*k+q2) for 0 <= n, k <= bound, shape (bound+1, bound+1)."""
     p, q, p2, q2 = affine
+    _check_int64(c, max(abs(q), abs(p * bound + q), abs(q2), abs(p2 * bound + q2)))
     n = np.arange(bound + 1, dtype=np.int64)
     k = np.arange(bound + 1, dtype=np.int64)
     return _f_block(c, (p * n + q)[:, None], (p2 * k + q2)[None, :])
@@ -42,33 +52,38 @@ def f_grid(c: Coeffs, bound: int) -> np.ndarray:
     return f_affine_grid(c, (1, 0, 1, 0), bound)
 
 
-def row_sums_at(
-    c: Coeffs,
-    ns: np.ndarray | list[int],
-    oracle_bound: int = DEFAULT_ORACLE_BOUND,
-) -> np.ndarray:
-    """sum_direct(c, n) for every n in ns, computed in numpy blocks."""
-    ns = np.asarray(ns, dtype=np.int64)
-    out = np.zeros(len(ns), dtype=np.int64)
-    if len(ns) == 0:
-        return out
-    if int(ns.min()) < 0:
-        raise ValueError("indices must be nonnegative")
-    kmax = int(ns.max())
-    if kmax > oracle_bound:
-        raise BoundExceeded(f"n={kmax} exceeds oracle bound {oracle_bound}")
-    row_block = max(1, _BLOCK_CELLS // min(kmax + 1, _K_CHUNK))
-    for i in range(0, len(ns), row_block):
-        rows = ns[i : i + row_block, None]
-        for k0 in range(0, kmax + 1, _K_CHUNK):
-            k = np.arange(k0, min(k0 + _K_CHUNK, kmax + 1), dtype=np.int64)[None, :]
-            out[i : i + row_block] += _f_block(c, rows, k).sum(axis=1)
-    return out
+def _low_submask_pairs(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """All 3^bits pairs (n, k) with n < 2^bits and k a submask of n."""
+    n = k = np.zeros(1, dtype=np.int64)
+    for b in range(bits):
+        n, k = np.concatenate((n, n | 1 << b, n | 1 << b)), np.concatenate((k, k, k | 1 << b))
+    return n, k
 
 
 def row_sums(c: Coeffs, n_max: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> np.ndarray:
-    """sum_direct(c, n) for all 0 <= n <= n_max."""
-    return row_sums_at(c, np.arange(n_max + 1, dtype=np.int64), oracle_bound)
+    """sum_direct(c, n) for all 0 <= n <= n_max, by submask enumeration.
+
+    n = h*2^L + n_lo and k = h'*2^L + k_lo is a submask of n exactly when h'
+    is a submask of h and k_lo of n_lo, so each high part h walks its
+    submasks h' and evaluates F on the shared low pairs in one block.
+    """
+    if n_max > oracle_bound:
+        raise BoundExceeded(f"n={n_max} exceeds oracle bound {oracle_bound}")
+    low = min(_LOW_BITS, n_max.bit_length())
+    highs = (n_max >> low) + 1
+    out = np.zeros(highs << low, dtype=np.int64)
+    _check_int64(c, len(out) - 1)
+    n_lo, k_lo = _low_submask_pairs(low)
+    for h in range(highs):
+        top_n = h << low | n_lo
+        sub = h
+        while True:
+            alive = _f_block(c, top_n, sub << low | k_lo) == 1
+            out[h << low : (h + 1) << low] += np.bincount(n_lo[alive], minlength=1 << low)
+            if sub == 0:
+                break
+            sub = (sub - 1) & h
+    return out[: n_max + 1]
 
 
 def parity_triangle_rows(num_rows: int) -> Iterator[int]:

@@ -51,15 +51,22 @@ def _coeffs(text: str) -> tuple[int, int, int, int]:
     return parts
 
 
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _resolve_entry(args):
     """Pick the registry entry named by --entry or matching --coeffs."""
     if getattr(args, "entry", None):
         return lookup(args.entry)
     if getattr(args, "coeffs", None):
-        e = lookup_by_coefficients(args.coeffs)
-        if e is None:
-            raise NotFound(f"no registry entry has coefficients {args.coeffs}")
-        return e
+        return lookup_by_coefficients(args.coeffs)
     raise NotFound("need --entry or --coeffs")
 
 
@@ -220,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--entry", help="registry entry name or sequence id")
     sp.add_argument("--coeffs", type=_coeffs, metavar="a1,a2,a3,a4")
     sp.add_argument("--method", choices=("oracle", "rules", "rlt"), default="rules")
-    sp.add_argument("--count", type=int, default=32)
+    sp.add_argument("--count", type=_positive, default=32)
     sp.add_argument("--at", type=int, metavar="N",
                     help="evaluate at one index (any size) instead of a prefix")
     sp.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
@@ -229,14 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rlt", help="run length transform of a base sequence")
     sp.add_argument("--base", required=True,
                     help="registry entry name, or a file with one term per line")
-    sp.add_argument("--count", type=int, default=32)
+    sp.add_argument("--count", type=_positive, default=32)
     sp.set_defaults(fn=cmd_rlt)
 
     sp = sub.add_parser("verify", help="run identity corpus or triple-equivalence checks")
     g = sp.add_mutually_exclusive_group(required=True)
     g.add_argument("--corpus", action="store_true")
     g.add_argument("--entry")
-    sp.add_argument("--bound", type=int, default=128)
+    sp.add_argument("--bound", type=_positive, default=128)
     sp.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
     sp.set_defaults(fn=cmd_verify)
 
@@ -244,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coeffs", type=_coeffs, required=True, metavar="a1,a2,a3,a4")
     sp.add_argument("--max-mod", type=int, required=True, metavar="M",
                     help="modulus exponent: odd residues are classified mod 2^M")
-    sp.add_argument("--bound", type=int, default=4096,
+    sp.add_argument("--bound", type=_positive, default=4096,
                     help="validate every fitted rule on all indices up to this")
     sp.add_argument("--sample-bound", type=int)
     sp.set_defaults(fn=cmd_conjecture)
@@ -254,14 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     oc = osub.add_parser("compare", help="compare an entry's terms with a b-file")
     oc.add_argument("--id", required=True)
     oc.add_argument("--entry", required=True)
-    oc.add_argument("--count", type=int, default=512)
+    oc.add_argument("--count", type=_positive, default=512)
     oc.add_argument("--offset", type=int)
     oc.add_argument("--offline", action="store_true")
     oc.add_argument("--cache-dir")
     oc.set_defaults(fn=cmd_oeis_compare)
 
     sp = sub.add_parser("triangle", help="Pascal triangle mod 2 rendering")
-    sp.add_argument("--rows", type=int, required=True)
+    sp.add_argument("--rows", type=_positive, required=True)
     sp.add_argument("--format", choices=("ascii", "pbm"), default="ascii")
     sp.set_defaults(fn=cmd_triangle)
 

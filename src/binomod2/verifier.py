@@ -19,7 +19,7 @@ import numpy as np
 
 from . import batch
 from .errors import ParseError
-from .parity_core import DEFAULT_ORACLE_BOUND, Coeffs, f_value
+from .parity_core import DEFAULT_ORACLE_BOUND, Coeffs
 from .registry import RegistryEntry
 from .rulesys import ResidueRule, RuleSystem
 from .transform import mu, rlt_by_runs
@@ -170,55 +170,25 @@ def load_corpus(text: str | None = None) -> list[CorpusStatement]:
     return out
 
 
-def check_identity(
-    stmt: IdentityStatement, bound: int, method: str = "grid"
-) -> VerificationReport:
-    """Check the statement for all 0 <= n, k <= bound.
+def check_identity(stmt: IdentityStatement, bound: int) -> VerificationReport:
+    """Check the statement for all 0 <= n, k <= bound with the vectorized kernel.
 
-    method "grid" sweeps with the vectorized kernel; "scalar" walks f_value
-    cell by cell. Both report the lexicographically minimal counterexample.
+    Reports the lexicographically minimal counterexample.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
     c = stmt.coefficients
-    restricted = stmt.domain == DOMAIN_K_GT_N
-    if method == "grid":
-        lhs = batch.f_affine_grid(c, stmt.lhs, bound)
-        rhs = (
-            np.zeros_like(lhs)
-            if stmt.rhs is None
-            else batch.f_affine_grid(c, stmt.rhs, bound)
-        )
-        diff = lhs != rhs
-        if restricted:
-            idx = np.arange(bound + 1)
-            diff &= idx[None, :] > idx[:, None]
-            checked = (bound + 1) * bound // 2
-        else:
-            checked = (bound + 1) ** 2
-        bad = np.argwhere(diff)
-        cx = tuple(int(v) for v in bad[0]) if len(bad) else None
-    elif method == "scalar":
-        checked = (bound + 1) * bound // 2 if restricted else (bound + 1) ** 2
-        cx = None
-        p, q, p2, q2 = stmt.lhs
-        for n in range(bound + 1):
-            if cx is not None:
-                break
-            for k in range(bound + 1):
-                if restricted and not k > n:
-                    continue
-                left = f_value(c, p * n + q, p2 * k + q2)
-                if stmt.rhs is None:
-                    right = 0
-                else:
-                    u, v, u2, v2 = stmt.rhs
-                    right = f_value(c, u * n + v, u2 * k + v2)
-                if left != right:
-                    cx = (n, k)
-                    break
+    lhs = batch.f_affine_grid(c, stmt.lhs, bound)
+    rhs = np.zeros_like(lhs) if stmt.rhs is None else batch.f_affine_grid(c, stmt.rhs, bound)
+    diff = lhs != rhs
+    if stmt.domain == DOMAIN_K_GT_N:
+        idx = np.arange(bound + 1)
+        diff &= idx[None, :] > idx[:, None]
+        checked = (bound + 1) * bound // 2
     else:
-        raise ValueError(f"unknown method {method!r}")
+        checked = (bound + 1) ** 2
+    bad = np.argwhere(diff)
+    cx = tuple(int(v) for v in bad[0]) if len(bad) else None
     return VerificationReport(
         label=stmt.text(),
         bound=bound,

@@ -1,12 +1,14 @@
 """Vectorized twins must agree exactly with the scalar kernels."""
 
 import numpy as np
+import pytest
 
 from binomod2 import batch
+from binomod2.errors import BoundExceeded
 from binomod2.parity_core import f_value, sum_direct
 from binomod2.registry import builtin_entries
 
-from .oracles import ORACLE
+from .oracles import ORACLE, row_sum_ref
 
 VECTORS = [e.coefficients for e in builtin_entries()] + [(0, 2, 1, -1), (1, 2, 1, 1)]
 
@@ -38,20 +40,31 @@ def test_row_sums_equals_scalar():
             assert int(sums[n]) == sum_direct(c, n), (c, n)
 
 
-def test_row_sums_at_subset():
-    c = (1, -1, 0, 6)
-    ns = [0, 1, 17, 300, 301, 1023]
-    got = batch.row_sums_at(c, ns)
-    assert [int(v) for v in got] == [sum_direct(c, n) for n in ns]
+def test_row_sums_match_oracle_at_block_boundaries():
+    # sizes around the 2^L split between the shared low pairs and the high walk
+    w = 1 << batch._LOW_BITS
+    sizes = [0, 1, w - 1, w, w + 1, 3 * w + 5]
+    for c in ((1, -1, 0, 6), (1, 1, 1, -1)):
+        longest = batch.row_sums(c, sizes[-1])
+        for n_max in sizes:
+            sums = batch.row_sums(c, n_max)
+            assert sums.dtype == np.int64 and len(sums) == n_max + 1
+            assert np.array_equal(sums, longest[: n_max + 1]), (c, n_max)
+            probes = {0, n_max, n_max - 1, w - 1, w, w + 1, 2 * w - 1, 2 * w, 3 * w - 1}
+            probes |= set(range(0, n_max + 1, 97))
+            for n in sorted(p for p in probes if 0 <= p <= n_max):
+                assert int(sums[n]) == row_sum_ref(c, n), (c, n_max, n)
 
 
-def test_row_sums_crosses_chunk_boundaries(monkeypatch):
-    # shrink the chunking so a small run exercises the stitching logic
-    monkeypatch.setattr(batch, "_BLOCK_CELLS", 1 << 8)
-    monkeypatch.setattr(batch, "_K_CHUNK", 1 << 4)
-    c = (1, 1, 1, -1)
-    sums = batch.row_sums(c, 150)
-    assert [int(v) for v in sums] == [sum_direct(c, n) for n in range(151)]
+def test_int64_overflow_is_refused():
+    huge = (1 << 62, 0, 0, 0)
+    with pytest.raises(BoundExceeded):
+        batch.row_sums(huge, 3)
+    with pytest.raises(BoundExceeded):
+        batch.row_sums((1 << 63, 0, 0, 0), 0)
+    with pytest.raises(BoundExceeded):
+        batch.f_affine_grid(huge, (1, 0, 1, 0), 3)
+    assert int(batch.row_sums((1 << 40, 0, 0, 0), 3)[3]) == 4
 
 
 def test_parity_triangle_rows_match_oracle():

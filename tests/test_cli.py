@@ -1,6 +1,12 @@
 """End-to-end CLI behavior through main(argv), including exit codes."""
 
+import contextlib
+import io
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binomod2.cli import main
 from binomod2.registry import builtin_entries, lookup
@@ -179,3 +185,103 @@ class TestTriangle:
                        "1 1 0 0\n"
                        "1 0 1 0\n"
                        "1 1 1 1\n")
+
+
+class TestBadInput:
+    def test_int64_coefficients_are_refused(self, capsys):
+        for a1 in ("4611686018427387904", "9223372036854775808"):
+            code, out, err = run(capsys, "seq", "--coeffs", f"{a1},0,0,0",
+                                 "--method", "oracle", "--count", "4")
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "Traceback" not in err
+        # one index goes through exact integers and stays correct
+        assert run(capsys, "seq", "--coeffs", "4611686018427387904,0,0,0",
+                   "--method", "oracle", "--at", "3") == (0, "3 4\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ("triangle", "--rows", "-2", "--format", "pbm"),
+        ("triangle", "--rows", "0"),
+        ("rlt", "--base", "fib", "--count", "-1"),
+        ("seq", "--entry", "fib", "--method", "oracle", "--count", "0"),
+        ("seq", "--entry", "fib", "--method", "rlt", "--count", "0"),
+        ("seq", "--entry", "fib", "--method", "rules", "--count", "0"),
+        ("verify", "--entry", "fib", "--bound", "-1"),
+        ("conjecture", "--coeffs", "1,-1,0,6", "--max-mod", "3", "--bound", "0"),
+        ("oeis", "compare", "--id", "A246028", "--entry", "fib", "--count", "0",
+         "--offline"),
+    ])
+    def test_nonpositive_counts_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "must be >= 1" in err
+
+
+_NAMES = [e.name for e in builtin_entries()] + ["nosuch"]
+_counts = st.integers(-2, 64).map(str)
+_coeffs = st.one_of(
+    st.tuples(*[st.integers(-3, 3)] * 4).map(lambda t: ",".join(map(str, t))),
+    st.sampled_from(["1,2,3", "a,b,c,d", "5,5,5,5"]),
+)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(
+        ["parity", "f", "mu", "seq", "rlt", "verify", "conjecture", "oeis", "triangle"]))
+    small = st.integers(-4, 300).map(str)
+    if cmd == "parity":
+        return [cmd, draw(small), draw(small)]
+    if cmd == "f":
+        return [cmd, "--coeffs", draw(_coeffs), draw(small), draw(small)]
+    if cmd == "mu":
+        return [cmd, draw(st.integers(-4, 1 << 70).map(str))]
+    if cmd == "seq":
+        method = draw(st.sampled_from(["oracle", "rules", "rlt"]))
+        argv = [cmd, "--method", method]
+        argv += draw(_opt("--entry", st.sampled_from(_NAMES)))
+        argv += draw(_opt("--coeffs", _coeffs))
+        argv += draw(_opt("--count", _counts))
+        at_max = 1 << 12 if method == "oracle" else 1 << 80
+        argv += draw(_opt("--at", st.integers(-2, at_max).map(str)))
+        return argv + draw(_opt("--oracle-bound", st.integers(-1, 5000).map(str)))
+    if cmd == "rlt":
+        return [cmd, "--base", draw(st.sampled_from(_NAMES))] + draw(_opt("--count", _counts))
+    if cmd == "verify":
+        target = draw(st.one_of(st.just(["--corpus"]),
+                                st.sampled_from(_NAMES).map(lambda n: ["--entry", n])))
+        return ([cmd] + target + draw(_opt("--bound", _counts))
+                + draw(_opt("--oracle-bound", st.integers(-1, 100).map(str))))
+    if cmd == "conjecture":
+        return ([cmd, "--coeffs", draw(_coeffs),
+                 "--max-mod", str(draw(st.integers(-1, 4)))]
+                + draw(_opt("--bound", _counts))
+                + draw(_opt("--sample-bound", _counts)))
+    if cmd == "oeis":
+        return (["oeis", "compare",
+                 "--id", draw(st.sampled_from(["A246028", "A106737", "A999999", "junk"])),
+                 "--entry", draw(st.sampled_from(_NAMES))]
+                + draw(_opt("--count", _counts))
+                + draw(_opt("--offset", st.integers(-3, 3).map(str))))
+    return ([cmd, "--rows", draw(_counts)]
+            + draw(_opt("--format", st.sampled_from(["ascii", "pbm"]))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_every_outcome_is_an_exit_code(argv):
+    with tempfile.TemporaryDirectory() as cache:
+        if argv[0] == "oeis":
+            argv = argv + ["--offline", "--cache-dir", cache]
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = "usage" if exc.code == 2 else exc.code
+    assert code in (0, 1, 2, 3, "usage"), (argv, code)

@@ -120,7 +120,8 @@ class TestFetch:
             raise OSError("connection refused")
 
         with pytest.raises(NetworkError):
-            fetch_bfile("A999997", cache_dir=str(tmp_path), fetch_fn=boom)
+            fetch_bfile("A999997", cache_dir=str(tmp_path), fetch_fn=boom,
+                        sleep_fn=lambda dt: None)
 
     def test_requests_are_spaced_out(self, tmp_path, monkeypatch):
         monkeypatch.setattr(oeis_client, "_last_fetch", [])

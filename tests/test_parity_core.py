@@ -10,7 +10,6 @@ from binomod2.parity_core import (
     binom_parity,
     f_value,
     g_value,
-    product_parity,
     sum_direct,
 )
 from binomod2.registry import builtin_entries
@@ -58,20 +57,6 @@ def test_binom_parity_lucas_digit_product(n, k):
 @given(st.integers(1, 1 << 16))
 def test_central_binomial_is_even(n):
     assert binom_parity(2 * n, n) == 0
-
-
-def test_product_parity_examples():
-    assert product_parity([]) == 1
-    assert product_parity([(3, 1), (5, 4)]) == 1
-    assert product_parity([(3, 1), (4, 2)]) == 0
-
-
-@given(st.lists(st.tuples(st.integers(0, 400), st.integers(0, 400)), max_size=6))
-def test_product_parity_multiplicative(pairs):
-    expected = 1
-    for n, k in pairs:
-        expected *= binom_parity(n, k)
-    assert product_parity(pairs) == expected
 
 
 def test_g_value_examples():

@@ -21,6 +21,8 @@ from binomod2.verifier import (
     solve_exact,
 )
 
+from .oracles import f_ref
+
 FIB = (1, -1, 0, 2)
 POSINT = (1, 1, 1, -1)
 ONES = (1, -1, 0, 1)
@@ -104,16 +106,36 @@ class TestCheckIdentity:
             IdentityStatement(FIB, (4, 1, 4, 1), (1, 0, 1, 0)),
             IdentityStatement(ONES, (4, 3, 4, 3), None),
             IdentityStatement(POSINT, (1, 0, 1, 0), None, DOMAIN_K_GT_N),
+            IdentityStatement(POSINT, (2, 1, 2, 0), None),
         ]
+        bound = 24
         for stmt in cases:
-            g = check_identity(stmt, 24, method="grid")
-            s = check_identity(stmt, 24, method="scalar")
-            assert g == s
+            p, q, p2, q2 = stmt.lhs
+            cells = [
+                (n, k)
+                for n in range(bound + 1)
+                for k in range(bound + 1)
+                if stmt.domain != DOMAIN_K_GT_N or k > n
+            ]
+            cx = None
+            for n, k in cells:
+                left = f_ref(stmt.coefficients, p * n + q, p2 * k + q2)
+                right = 0
+                if stmt.rhs is not None:
+                    u, v, u2, v2 = stmt.rhs
+                    right = f_ref(stmt.coefficients, u * n + v, u2 * k + v2)
+                if left != right:
+                    cx = (n, k)
+                    break
+            r = check_identity(stmt, bound)
+            assert (r.passed, r.counterexample, r.checked_count) == (
+                cx is None, cx, len(cells)
+            ), stmt.text()
 
     def test_method_and_bound_validated(self):
         stmt = IdentityStatement(FIB, (1, 0, 1, 0), None, DOMAIN_K_GT_N)
-        with pytest.raises(ValueError):
-            check_identity(stmt, 8, method="magic")
+        with pytest.raises(TypeError):  # the grid is the only method
+            check_identity(stmt, 8, method="grid")
         with pytest.raises(ValueError):
             check_identity(stmt, -1)
 
