@@ -230,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=_positive, default=32)
     sp.add_argument("--at", type=int, metavar="N",
                     help="evaluate at one index (any size) instead of a prefix")
-    sp.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
+    sp.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND,
+                    help="oracle cap: submask steps with --at, largest index otherwise")
     sp.set_defaults(fn=cmd_seq)
 
     sp = sub.add_parser("rlt", help="run length transform of a base sequence")

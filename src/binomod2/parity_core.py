@@ -13,9 +13,9 @@ from .errors import BoundExceeded
 
 Coeffs = tuple[int, int, int, int]
 
-# sum_direct visits the 2^popcount(n) <= n+1 submasks of n; bounding n caps
-# that work (and batch.row_sums' arrays), and past it callers should
-# evaluate through a rule system instead.
+# Caps the work of the direct routes: sum_direct's 2^popcount(n) submask
+# steps, and the largest index of batch.row_sums' prefix arrays. Past it
+# callers should evaluate through a rule system instead.
 DEFAULT_ORACLE_BOUND = 1 << 24
 
 
@@ -59,13 +59,14 @@ def sum_direct(c: Coeffs, n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> i
     """Row sum a(n) = sum_{k=0..n} f_value(c, n, k), over the submasks of n.
 
     Every other k has C(n, k) even, so walking k = (k-1) & n from n down to
-    0 gives the same sum in 2^popcount(n) steps. Raises BoundExceeded above
-    oracle_bound.
+    0 gives the same sum in 2^popcount(n) steps. Raises BoundExceeded when
+    that step count is above oracle_bound, whatever the size of n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > oracle_bound:
-        raise BoundExceeded(f"n={n} exceeds oracle bound {oracle_bound}")
+    pop = n.bit_count()
+    if 1 << pop > oracle_bound:
+        raise BoundExceeded(f"2^{pop} submask steps exceed oracle bound {oracle_bound}")
     total = 0
     k = n
     while True:

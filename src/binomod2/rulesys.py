@@ -3,8 +3,10 @@
 A RuleSystem bundles base values (at minimum a(0)) with rules keyed by
 (modulus exponent, residue). Matching prefers the longest modulus, so the
 universal even rule a(2n) = a(n) coexists with finer odd-residue rules.
-Evaluation is iterative and memoized; every rule strictly decreases the
-index, so cost is polynomial in bit length even for 1000-bit arguments.
+A residue table of length 2^M (M the longest modulus exponent) maps
+n mod 2^M to its rule. Evaluation is iterative, and the values it meets
+live for one call only; every rule strictly decreases the index, so cost
+is polynomial in bit length even for 1000-bit arguments.
 """
 
 from __future__ import annotations
@@ -64,12 +66,12 @@ class RuleSystem:
         self.base_values: dict[int, int] = dict(base_values)
         if 0 not in self.base_values:
             raise ValueError("base values must include a(0)")
-        by_key: dict[tuple[int, int], ResidueRule] = {}
+        seen: set[tuple[int, int]] = set()
         for rule in self.rules:
             key = (rule.modulus_exp, rule.residue)
-            if key in by_key:
+            if key in seen:
                 raise ValueError(f"duplicate rule for residue {rule.residue} mod {rule.modulus}")
-            by_key[key] = rule
+            seen.add(key)
             # a rule that must cover q = 0 may not map the index to itself
             if rule.residue not in self.base_values:
                 for _, _, offset in rule.terms:
@@ -78,23 +80,20 @@ class RuleSystem:
                             f"rule for residue {rule.residue} mod {rule.modulus} "
                             "loops at q=0; needs offset < residue or a base value"
                         )
-        self._by_key = by_key
-        self._moduli_desc = sorted({r.modulus_exp for r in self.rules}, reverse=True)
-        self._memo: dict[int, int] = dict(self.base_values)
+        # _table[n & _mask] is the longest-modulus rule matching n, or None;
+        # rules are sorted by modulus, so longer moduli overwrite shorter ones
+        max_m = self.rules[-1].modulus_exp if self.rules else 0
+        self._mask = (1 << max_m) - 1
+        self._table: list[ResidueRule | None] = [None] * (1 << max_m)
+        for rule in self.rules:
+            for r in range(rule.residue, 1 << max_m, rule.modulus):
+                self._table[r] = rule
         self._check_coverage()
 
     def _check_coverage(self):
-        max_m = self._moduli_desc[0] if self._moduli_desc else 0
-        for residue in range(1 << max_m):
-            if self._find_rule(residue) is None and residue not in self.base_values:
-                raise UncoveredIndex(f"no rule matches residue {residue} mod {1 << max_m}")
-
-    def _find_rule(self, n: int) -> ResidueRule | None:
-        for m in self._moduli_desc:
-            rule = self._by_key.get((m, n & ((1 << m) - 1)))
-            if rule is not None:
-                return rule
-        return None
+        for residue, rule in enumerate(self._table):
+            if rule is None and residue not in self.base_values:
+                raise UncoveredIndex(f"no rule matches residue {residue} mod {len(self._table)}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RuleSystem):
@@ -102,26 +101,33 @@ class RuleSystem:
         return self.rules == other.rules and self.base_values == other.base_values
 
     def eval(self, n: int) -> int:
-        """a(n); memoized across calls on this instance."""
+        """a(n); the values met along the way are kept for this call only."""
         if n < 0:
             raise ValueError("index must be nonnegative")
-        memo = self._memo
+        table, mask = self._table, self._mask
+        memo = dict(self.base_values)
         stack = [n]
         while stack:
             cur = stack[-1]
             if cur in memo:
                 stack.pop()
                 continue
-            rule = self._find_rule(cur)
+            rule = table[cur & mask]
             if rule is None:
                 raise UncoveredIndex(f"no rule matches index {cur}")
             q = cur >> rule.modulus_exp
-            children = [scale * q + offset for _, scale, offset in rule.terms]
-            pending = [child for child in children if child not in memo]
+            value = 0
+            pending = False
+            for coeff, scale, offset in rule.terms:
+                child = scale * q + offset
+                v = memo.get(child)
+                if v is None:
+                    stack.append(child)
+                    pending = True
+                else:
+                    value += coeff * v
             if pending:
-                stack.extend(pending)
                 continue
-            value = sum(coeff * memo[child] for (coeff, _, _), child in zip(rule.terms, children))
             if value < 0:
                 raise NegativeValue(f"a({cur}) = {value} < 0")
             memo[cur] = value
@@ -129,10 +135,29 @@ class RuleSystem:
         return memo[n]
 
     def first_terms(self, count: int) -> list[int]:
-        """[a(0), ..., a(count-1)]."""
+        """[a(0), ..., a(count-1)], filled bottom-up.
+
+        Every child index is at most its parent, and equal only at q = 0,
+        where __init__ demands a base value; so each child is already filled.
+        """
         if count < 1:
             raise ValueError("count must be >= 1")
-        return [self.eval(i) for i in range(count)]
+        table, mask, base = self._table, self._mask, self.base_values
+        vals = [0] * count
+        for i in range(count):
+            value = base.get(i)
+            if value is None:
+                rule = table[i & mask]
+                if rule is None:
+                    raise UncoveredIndex(f"no rule matches index {i}")
+                q = i >> rule.modulus_exp
+                value = 0
+                for coeff, scale, offset in rule.terms:
+                    value += coeff * vals[scale * q + offset]
+                if value < 0:
+                    raise NegativeValue(f"a({i}) = {value} < 0")
+            vals[i] = value
+        return vals
 
 
 def _format_child(scale: int, offset: int) -> str:

@@ -64,6 +64,14 @@ class TestSeq:
         assert code == 0
         assert out == "0 1\n1 2\n2 2\n3 4\n4 2\n5 4\n6 4\n7 8\n"
 
+    def test_oracle_bound_counts_submask_steps(self, capsys):
+        # 2^30 has one set bit, so the oracle walks two submasks
+        assert run(capsys, "seq", "--entry", "fib", "--method", "oracle",
+                   "--at", "1073741824") == (0, "1073741824 1\n", "")
+        code, out, err = run(capsys, "seq", "--entry", "fib", "--method", "oracle",
+                             "--at", "1073741824", "--oracle-bound", "1")
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_at_huge_index(self, capsys):
         n = (1 << 1000) | 0b110111
         code_r, out_r, _ = run(capsys, "seq", "--entry", "fib",

@@ -93,13 +93,14 @@ def test_lucas_transform_prefix():
 
 
 def test_stored_rules_match_recurrence_template():
-    # template rules agree with the stored hand-reduced ones everywhere, and
-    # for most entries they are literally the same system
+    # the template reproduces every stored system except all-ones, where the
+    # hand-reduced a(4n+3) = a(n) and the template's a(2n+1) are both valid
     for e in builtin_entries():
         derived = recurrence_rule_system(e.base)
-        for n in range(2048):
-            assert derived.eval(n) == e.rules.eval(n), (e.name, n)
-        if e.name not in ("all-ones", "lucas-prepended"):
+        if e.name == "all-ones":
+            assert derived != e.rules
+            assert derived.first_terms(4096) == e.rules.first_terms(4096)
+        else:
             assert derived == e.rules, e.name
 
 

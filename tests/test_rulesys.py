@@ -1,11 +1,14 @@
 """Residue rule construction, matching, evaluation, and the textual format."""
 
+import copy
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomod2.errors import NegativeValue, ParseError, UncoveredIndex
-from binomod2.registry import lookup
+from binomod2.registry import builtin_entries, lookup
 from binomod2.rulesys import ResidueRule, RuleSystem, format_system, parse_system
 from binomod2.transform import rlt_by_runs
 
@@ -118,9 +121,43 @@ class TestEvaluation:
         expected = rlt_by_runs(entry.base, n)
         assert entry.rules.eval(n) == expected
 
-    def test_memoization_is_per_instance(self):
-        a = lookup("fib").rules
-        assert a.eval(1023) == a.eval(1023)
+    def test_eval_leaves_the_instance_unchanged(self):
+        # registry systems live for the whole process, so eval may not grow them
+        rules = lookup("fib").rules
+        before = copy.deepcopy(vars(rules))
+        rng = random.Random(1000)
+        for _ in range(200):
+            rules.eval(rng.getrandbits(1000))
+        assert vars(rules) == before
+
+    @settings(max_examples=40)
+    @given(st.sampled_from(builtin_entries()), st.integers(1, 600))
+    def test_first_terms_match_eval(self, entry, count):
+        rules = entry.rules
+        assert rules.first_terms(count) == [rules.eval(i) for i in range(count)]
+
+    def test_first_terms_honour_base_values(self):
+        looped = ResidueRule(1, 1, ((1, 1, 1),))
+        sys = RuleSystem([EVEN, looped], {0: 1, 1: 1})
+        assert sys.first_terms(8) == [1] * 8
+        sys = RuleSystem([EVEN, looped], {0: 1, 1: 5})
+        assert sys.first_terms(8) == [1] + [5] * 7
+        assert sys.first_terms(8) == [sys.eval(i) for i in range(8)]
+
+    def test_first_terms_negative_value_raises(self):
+        neg = ResidueRule(1, 1, ((1, 1, 0), (-2, 1, 0)))
+        sys = RuleSystem([EVEN, neg], {0: 1})
+        with pytest.raises(NegativeValue, match="a\\(1\\)"):
+            sys.first_terms(4)
+
+    def test_uncovered_index_raises(self):
+        # residue 1 mod 2 is covered only by the base value a(1)
+        sys = RuleSystem([EVEN], {0: 1, 1: 1})
+        assert sys.first_terms(3) == [1, 1, 1]
+        with pytest.raises(UncoveredIndex, match="index 3"):
+            sys.first_terms(4)
+        with pytest.raises(UncoveredIndex, match="index 3"):
+            sys.eval(3)
 
     @given(st.integers(0, 1 << 12))
     def test_rules_match_runs_route(self, n):
