@@ -91,14 +91,6 @@ def rlt_by_runs(S: BaseSequence, n: int) -> int:
     return value
 
 
-def _seed(initial: tuple[int, ...], i: int) -> int:
-    """T(i) for small i, straight from the run decomposition of the constant i."""
-    value = 1
-    for l in runs_of_ones(i):
-        value *= initial[l]
-    return value
-
-
 @lru_cache(maxsize=None)
 def recurrence_rule_system(S: LinearRecurrence) -> RuleSystem:
     """Residue rule system equivalent to the transform of a recurrent base.
@@ -113,10 +105,10 @@ def recurrence_rule_system(S: LinearRecurrence) -> RuleSystem:
     w = 1 << me
     rules = [ResidueRule(1, 0, ((1, 1, 0),))]
     for i in range(1, 1 << k, 2):
-        rules.append(ResidueRule(me, i, ((_seed(S.initial, i), 1, 0),)))
+        rules.append(ResidueRule(me, i, ((rlt_by_runs(S, i), 1, 0),)))
     for i in range((1 << k) | 1, w - 1, 2):
         a, b, m = mu(i)  # i is odd and below w-1, so always splittable
-        rules.append(ResidueRule(me, i, ((_seed(S.initial, b), 1 << (me - m), a),)))
+        rules.append(ResidueRule(me, i, ((rlt_by_runs(S, b), 1 << (me - m), a),)))
     last = tuple(
         (d, 1 << (k - j), (1 << (k - j)) - 1) for j, d in enumerate(S.feedback) if d != 0
     )

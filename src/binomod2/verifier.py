@@ -258,14 +258,17 @@ def check_triple_equivalence(
 def solve_exact(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
     """Solve rows * x = rhs exactly over the rationals.
 
-    Gaussian elimination with leftmost pivots; free variables are set to 0.
-    Returns None when the system is inconsistent.
+    Gaussian elimination with leftmost pivots on the distinct equations;
+    free variables are set to 0. Returns None when the system is
+    inconsistent.
     """
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return []
     ncol = len(rows[0])
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    # a repeated equation adds nothing; equal rows with different rhs both stay
+    eqs = dict.fromkeys((*row, b) for row, b in zip(rows, rhs))
+    a = [[Fraction(x) for x in eq] for eq in eqs]
+    m = len(a)
     pivots = []
     r = 0
     for col in range(ncol):
@@ -316,25 +319,6 @@ def _validate_rule(a: np.ndarray, m: int, r: int, terms, bound: int) -> bool:
     return bool(np.array_equal(want, got))
 
 
-def _fit_single(a, w, r, e, f, sample_q: int) -> int | None:
-    """Largest-sample-consistent integer lambda with a(w q + r) = lambda a(e q + f)."""
-    lam: Fraction | None = None
-    for q in range(sample_q + 1):
-        child = int(a[e * q + f])
-        target = int(a[w * q + r])
-        if child == 0:
-            if target != 0:
-                return None
-            continue
-        if lam is None:
-            lam = Fraction(target, child)
-        elif lam * child != target:
-            return None
-    if lam is None or lam.denominator != 1:
-        return None
-    return int(lam)
-
-
 def conjecture_rules(
     c: Coeffs,
     max_modulus_exp: int,
@@ -344,13 +328,17 @@ def conjecture_rules(
 ) -> ConjectureResult:
     """Empirically fit a residue rule system for the row-sum sequence of c.
 
-    For each odd residue r mod 2^m the candidate children are
-    a(2^j q + 2^j - 1) for 0 <= j < m (j=0 is a(q)); single-child rules are
-    tried first in a structure-guided order, then an exact rational fit over
-    the whole basis. Residue 2^m - 1 is fitted through the recurrence
-    satisfied by the observed subsequence S(l) = a(2^l - 1). Every fitted
-    rule is validated exactly on all indices up to validation_bound; rules
-    that fail validation are dropped and reported in failed_residues.
+    The even residue takes the halving rule a(2q) = a(q) or fails. For each
+    odd residue r mod 2^m the candidate children are a(2^j q + 2^j - 1) for
+    0 <= j < m (j=0 is a(q)) with offset below r, so every child index is
+    smaller than 2^m q + r. Candidate sets of children are tried in order:
+    for r < 2^m - 1 each single child, plain a(q) first for low residues
+    and the scale picked by the split mu(r) first for high ones; then, for
+    every r, all candidate children together, largest scale first. Each set
+    is fitted by one exact rational solve on the sampled indices q, and the
+    first integral fit that holds exactly on every index up to
+    validation_bound is kept. Residues with no such fit are reported in
+    failed_residues.
     """
     m = max_modulus_exp
     if m < 1:
@@ -364,70 +352,37 @@ def conjecture_rules(
     rules: list[ResidueRule] = []
     failed: list[int] = []
 
-    # the halving rule is universal for row sums; test it outright
-    even_ok = bool(
-        np.array_equal(a[: (validation_bound // 2) + 1], a[0 : validation_bound + 1 : 2])
-    )
-    if even_ok:
+    if _validate_rule(a, 1, 0, [(1, 1, 0)], validation_bound):
         rules.append(ResidueRule(1, 0, ((1, 1, 0),)))
     else:
         failed.append(0)
 
-    lmax = validation_bound.bit_length() - 1
-    S = [int(a[(1 << l) - 1]) for l in range(lmax + 1)]
     basis = [(1 << j, (1 << j) - 1) for j in range(m)]
-
     for r in range(1, w, 2):
-        terms = None
         if r == w - 1:
-            # fit feedback coefficients of S and translate them into children
-            ls = range(m - 1, lmax)
-            rows = [[S[l - j] for j in range(m)] for l in ls]
-            d = solve_exact(rows, [S[l + 1] for l in ls])
-            if d is not None and all(x.denominator == 1 for x in d):
-                cand = [
-                    (int(d[j]), 1 << (m - 1 - j), (1 << (m - 1 - j)) - 1)
-                    for j in range(m)
-                    if d[j] != 0
-                ]
-                if _validate_rule(a, m, r, cand, validation_bound):
-                    terms = cand
+            order = []
+        elif r < w // 2:
+            order = range(m)
         else:
-            # structure-guided single-child candidates: plain a(q) first for
-            # low residues; for high residues the split of r picks the scale
-            if r < (1 << (m - 1)):
-                order = list(range(m))
-            else:
-                j0 = m - mu(r)[2]
-                order = [j0] + [j for j in range(m) if j != j0]
-            sample_q = max(0, (sample_bound - r) // w)
-            for j in order:
-                e, f = basis[j]
-                if f >= r:  # child index would not decrease at q=0
-                    continue
-                lam = _fit_single(a, w, r, e, f, sample_q)
-                if lam is not None and _validate_rule(
-                    a, m, r, [(lam, e, f)], validation_bound
-                ):
-                    terms = [(lam, e, f)]
-                    break
-        if terms is None:
-            # exact rational fit over the full basis on sampled indices
-            usable = [(e, f) for e, f in basis if f < r or r == w - 1]
-            sample_q = max(len(usable) + 4, (sample_bound - r) // w)
-            qs = range(min(sample_q, (validation_bound - r) // w) + 1)
-            rows = [[int(a[e * q + f]) for e, f in usable] for q in qs]
-            sol = solve_exact(rows, [int(a[w * q + r]) for q in qs])
-            if sol is not None and all(x.denominator == 1 for x in sol):
-                cand = [
-                    (int(x), e, f) for x, (e, f) in zip(sol, usable) if x != 0
-                ]
-                if _validate_rule(a, m, r, cand, validation_bound):
-                    terms = cand
-        if terms is None:
+            j0 = m - mu(r)[2]
+            order = [j0] + [j for j in range(m) if j != j0]
+        candidates = [[basis[j]] for j in order if basis[j][1] < r]
+        usable = [(e, f) for e, f in reversed(basis) if f < r]
+        candidates.append(usable)
+        sample_q = max(len(usable) + 4, (sample_bound - r) // w)
+        qs = np.arange(min(sample_q, (validation_bound - r) // w) + 1, dtype=np.int64)
+        target = a[w * qs + r].tolist()
+        for cols in candidates:
+            rows = np.stack([a[e * qs + f] for e, f in cols], axis=1).tolist()
+            sol = solve_exact(rows, target)
+            if sol is None or any(x.denominator != 1 for x in sol):
+                continue
+            terms = tuple((int(x), e, f) for x, (e, f) in zip(sol, cols) if x != 0)
+            if _validate_rule(a, m, r, terms, validation_bound):
+                rules.append(ResidueRule(m, r, terms))
+                break
+        else:
             failed.append(r)
-        else:
-            rules.append(ResidueRule(m, r, tuple(terms)))
 
     return ConjectureResult(
         coefficients=tuple(c),

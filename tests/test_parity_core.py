@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomod2 import batch
 from binomod2.errors import BoundExceeded
 from binomod2.parity_core import (
     DEFAULT_ORACLE_BOUND,
@@ -74,6 +75,12 @@ def test_f_value_examples():
     assert f_value((1, -1, 0, 1), 6, 2) == 0
     for e in builtin_entries():
         assert f_value(e.coefficients, 0, 0) == 1
+
+
+def test_negative_top_is_a_zero_binomial():
+    # top = 3 - 2*2 = -1: C(-1, 2) counts as zero in the scalar and grid kernels
+    assert f_value((1, -2, 0, 1), 3, 2) == 0
+    assert batch.f_grid((1, -2, 0, 1), 3)[3, 2] == 0
 
 
 def test_f_value_zero_beyond_row():

@@ -7,7 +7,7 @@ import pytest
 
 from binomod2.errors import ParseError
 from binomod2.registry import lookup
-from binomod2.rulesys import parse_system
+from binomod2.rulesys import ResidueRule, parse_system
 from binomod2.verifier import (
     DOMAIN_K_GT_N,
     ConjectureResult,
@@ -216,6 +216,12 @@ class TestSolveExact:
     def test_empty(self):
         assert solve_exact([], []) == []
 
+    def test_repeated_rows_give_the_same_answer(self):
+        assert solve_exact([[1, 1], [1, 1], [2, 0]], [3, 3, 2]) == [1, 2]
+
+    def test_repeated_rows_with_different_rhs_stay_inconsistent(self):
+        assert solve_exact([[1, 1], [1, 1]], [3, 4]) is None
+
 
 class TestConjecture:
     def test_rediscovers_positive_integers_rules(self):
@@ -226,6 +232,17 @@ class TestConjecture:
     def test_rediscovers_one_then_twos_rules(self):
         res = conjecture_rules((1, 2, 0, 2), 2, sample_bound=64, validation_bound=1024)
         assert res.as_system() == lookup("x1222").rules
+
+    def test_whole_basis_fit_finds_multi_child_rules(self):
+        res = conjecture_rules((-2, 4, 0, 1), 3, 256, 2048)
+        assert res.failed_residues == (1,)
+        assert ResidueRule(3, 3, ((1, 2, 1), (1, 1, 0))) in res.discovered_rules
+        assert ResidueRule(3, 7, ((1, 4, 3), (1, 2, 1), (-1, 1, 0))) in res.discovered_rules
+
+    def test_single_child_is_tried_before_the_whole_basis(self):
+        res = conjecture_rules((1, 0, 0, 2), 3, 256, 2048)
+        assert res.failed_residues == ()
+        assert ResidueRule(3, 5, ((1, 2, 1),)) in res.discovered_rules
 
     def test_too_small_modulus_reports_failures(self):
         res = conjecture_rules(POSINT, 1, sample_bound=64, validation_bound=1024)
