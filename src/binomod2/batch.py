@@ -1,9 +1,10 @@
 """Vectorized twins of the scalar kernels, for grid sweeps and long row sums.
 
-Same math as parity_core, expressed over numpy int64 arrays; the independent
-references these are pinned to live in tests/oracles.py. Row sums visit only
-the cells Lucas' theorem leaves alive: F(n, k) = 1 needs k to be a submask of
-n, so row n costs 2^popcount(n) cells, about N^1.585 over [0, N].
+F grids use the same math as parity_core, expressed over numpy int64
+arrays. Row sums come from the carry automaton's transfer matrices
+(automaton.py) instead of from F cell by cell, so a prefix of N row sums
+costs time linear in N. The independent references these are pinned to
+live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -12,12 +13,9 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from . import automaton
 from .errors import BoundExceeded
 from .parity_core import DEFAULT_ORACLE_BOUND, Coeffs
-
-# row_sums splits n into high and low L bits; the 3^L low (n, k) submask
-# pairs (59049 for L = 10) are built once and reused for every high part
-_LOW_BITS = 10
 
 
 def _check_int64(c: Coeffs, largest: int):
@@ -52,38 +50,31 @@ def f_grid(c: Coeffs, bound: int) -> np.ndarray:
     return f_affine_grid(c, (1, 0, 1, 0), bound)
 
 
-def _low_submask_pairs(bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """All 3^bits pairs (n, k) with n < 2^bits and k a submask of n."""
-    n = k = np.zeros(1, dtype=np.int64)
-    for b in range(bits):
-        n, k = np.concatenate((n, n | 1 << b, n | 1 << b)), np.concatenate((k, k, k | 1 << b))
-    return n, k
-
-
 def row_sums(c: Coeffs, n_max: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> np.ndarray:
-    """sum_direct(c, n) for all 0 <= n <= n_max, by submask enumeration.
+    """sum_direct(c, n) for all 0 <= n <= n_max, by the carry automaton's transfer matrices.
 
-    n = h*2^L + n_lo and k = h'*2^L + k_lo is a submask of n exactly when h'
-    is a submask of h and k_lo of n_lo, so each high part h walks its
-    submasks h' and evaluates F on the shared low pairs in one block.
+    Split n = h*2^L + lo. Then a(n) = U[lo] . R[h], where the row
+    U[lo] = e0 . M[lo_0] ... M[lo_(L-1)] counts the bits of k per state after
+    the low L bits, and R[h] = M[h_0] ... M[h_(H-1)] . acc counts the accepted
+    continuations of the high part h. Both tables are built by doubling, so
+    d states cost N*d for the product and sqrt(N)*d^2 for the tables.
     """
     if n_max > oracle_bound:
         raise BoundExceeded(f"n={n_max} exceeds oracle bound {oracle_bound}")
-    low = min(_LOW_BITS, n_max.bit_length())
-    highs = (n_max >> low) + 1
-    out = np.zeros(highs << low, dtype=np.int64)
-    _check_int64(c, len(out) - 1)
-    n_lo, k_lo = _low_submask_pairs(low)
-    for h in range(highs):
-        top_n = h << low | n_lo
-        sub = h
-        while True:
-            alive = _f_block(c, top_n, sub << low | k_lo) == 1
-            out[h << low : (h + 1) << low] += np.bincount(n_lo[alive], minlength=1 << low)
-            if sub == 0:
-                break
-            sub = (sub - 1) & h
-    return out[: n_max + 1]
+    _check_int64(c, n_max)
+    bits = n_max.bit_length()
+    m0, m1, acc = automaton.linear_rep(c, bits)
+    low = (bits + 1) // 2
+    u = np.eye(1, len(acc), dtype=np.int64)
+    for _ in range(low):
+        u = np.concatenate((u @ m0, u @ m1))
+    r = acc[None, :]
+    for _ in range(bits - low):
+        doubled = np.empty((2 * len(r), len(acc)), dtype=np.int64)
+        doubled[0::2] = r @ m0.T
+        doubled[1::2] = r @ m1.T
+        r = doubled
+    return (r[: (n_max >> low) + 1] @ u.T).reshape(-1)[: n_max + 1]
 
 
 def parity_triangle_rows(num_rows: int) -> Iterator[int]:

@@ -14,8 +14,9 @@ from .errors import BoundExceeded
 Coeffs = tuple[int, int, int, int]
 
 # Caps the work of the direct routes: sum_direct's 2^popcount(n) submask
-# steps, and the largest index of batch.row_sums' prefix arrays. Past it
-# callers should evaluate through a rule system instead.
+# steps, and the length of batch.row_sums' prefix arrays, whose cost is
+# linear in that length. Past it callers should evaluate through a rule
+# system instead.
 DEFAULT_ORACLE_BOUND = 1 << 24
 
 

@@ -1,11 +1,14 @@
-"""Exhaustive identity checking over (n, k) grids, triple-equivalence
-certification, and empirical conjecture of residue rule systems.
+"""Identity proofs and checks, triple-equivalence certification, and
+empirical conjecture of residue rule systems.
 
 Identity statements are claims of the form F(p*n+q, p2*k+q2) = 0 or
-= F(u*n+v, u2*k+v2), checked for all 0 <= n, k <= bound. The checked-in
-corpus file enumerates such statements with expected outcomes; entries whose
-printed source form is wrong are stored twice (printed form expect=fail,
-corrected form expect=pass) so the suite documents the errata.
+= F(u*n+v, u2*k+v2). When each side uses one multiplier for n and k, the
+carry automaton (automaton.py) decides the claim for every n, k >= 0;
+otherwise, and for a refuted claim, it is checked on all 0 <= n, k <= bound,
+which yields the minimal counterexample. The checked-in corpus file
+enumerates such statements with expected outcomes; entries whose printed
+source form is wrong are stored twice (printed form expect=fail, corrected
+form expect=pass) so the suite documents the errata.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from importlib import resources
 
 import numpy as np
 
-from . import batch
-from .errors import ParseError
+from . import automaton, batch
+from .errors import BoundExceeded, ParseError
 from .parity_core import DEFAULT_ORACLE_BOUND, Coeffs
 from .registry import RegistryEntry
 from .rulesys import ResidueRule, RuleSystem
@@ -90,6 +93,7 @@ class VerificationReport:
     detail: str = ""
     expected: str | None = None
     ref: str = ""
+    proved: bool = False  # passed for every n and k, not only up to bound
 
     @property
     def result(self) -> str:
@@ -170,13 +174,51 @@ def load_corpus(text: str | None = None) -> list[CorpusStatement]:
     return out
 
 
-def check_identity(stmt: IdentityStatement, bound: int) -> VerificationReport:
-    """Check the statement for all 0 <= n, k <= bound with the vectorized kernel.
+def _prove(stmt: IdentityStatement) -> bool:
+    """True when the carry automaton shows the statement for every n, k >= 0.
 
-    Reports the lexicographically minimal counterexample.
+    False means refuted or undecided: a side with different multipliers of n
+    and k, or a search past automaton.STATE_CAP pairs.
+    """
+    sides = [stmt.lhs] if stmt.rhs is None else [stmt.lhs, stmt.rhs]
+    if any(p != p2 for p, _, p2, _ in sides):
+        return False
+    if stmt.domain == DOMAIN_K_GT_N:
+        return True  # k > n gives p*k+q2 > p*n+q on both sides, where F = 0
+    c = stmt.coefficients
+    # a side F(p*n+q, p*k+q2) is the state after the low bits (q, q2)
+    states = [automaton.prefix_state(c, p.bit_length() - 1, q, q2) for p, q, _, q2 in sides]
+    if stmt.rhs is None:
+        states.append(None)  # F = 0 is the failure state, which accepts nothing
+    try:
+        return automaton.same_language(c, *states)
+    except BoundExceeded:
+        return False
+
+
+def check_identity(stmt: IdentityStatement, bound: int) -> VerificationReport:
+    """Verdict on all 0 <= n, k <= bound, proved for every n, k where possible.
+
+    A statement the carry automaton proves passes at any bound, with
+    proved=True and no grid. Any other statement is checked cell by cell on
+    the vectorized grid, which reports the lexicographically minimal
+    counterexample within the bound.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
+    if stmt.domain == DOMAIN_K_GT_N:
+        checked = (bound + 1) * bound // 2
+    else:
+        checked = (bound + 1) ** 2
+    if _prove(stmt):
+        return VerificationReport(
+            label=stmt.text(),
+            bound=bound,
+            passed=True,
+            counterexample=None,
+            checked_count=checked,
+            proved=True,
+        )
     c = stmt.coefficients
     lhs = batch.f_affine_grid(c, stmt.lhs, bound)
     rhs = np.zeros_like(lhs) if stmt.rhs is None else batch.f_affine_grid(c, stmt.rhs, bound)
@@ -184,9 +226,6 @@ def check_identity(stmt: IdentityStatement, bound: int) -> VerificationReport:
     if stmt.domain == DOMAIN_K_GT_N:
         idx = np.arange(bound + 1)
         diff &= idx[None, :] > idx[:, None]
-        checked = (bound + 1) * bound // 2
-    else:
-        checked = (bound + 1) ** 2
     bad = np.argwhere(diff)
     cx = tuple(int(v) for v in bad[0]) if len(bad) else None
     return VerificationReport(
@@ -216,6 +255,7 @@ def check_lemma_corpus(
                 checked_count=r.checked_count,
                 expected=cs.expect,
                 ref=cs.ref,
+                proved=r.proved,
             )
         )
     return reports

@@ -1,0 +1,58 @@
+"""The carry automaton, pinned to the Pascal-row references."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from binomod2 import automaton, batch
+from binomod2.automaton import START, STATE_CAP, accepts, prefix_state, same_language
+from binomod2.errors import BoundExceeded
+from binomod2.registry import builtin_entries
+
+from .oracles import f_ref, row_sum_ref
+
+SMALL = st.tuples(*[st.integers(-4, 4)] * 4)
+FIB = (1, -1, 0, 2)
+# F(n, k) is C(n, k) mod 2 here, but the top carry holds the low bits of n
+WIDE = (1 << 40, 0, 0, 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(SMALL, st.integers(0, 511), st.integers(0, 511), st.integers(0, 3))
+def test_acceptance_is_f(c, n, k, pad):
+    bits = max(n.bit_length(), k.bit_length()) + pad
+    assert accepts(c, prefix_state(c, bits, n, k)) == bool(f_ref(c, n, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SMALL, st.integers(0, 80))
+def test_row_sums_are_row_sum_ref(c, n_max):
+    assert batch.row_sums(c, n_max).tolist() == [row_sum_ref(c, n) for n in range(n_max + 1)]
+
+
+def test_leading_zeros_are_harmless():
+    for e in builtin_entries():
+        for c in (e.coefficients,) + tuple(e.aliases):
+            m0, m1, acc = automaton.linear_rep(c, 64)
+            assert np.array_equal(m0 @ acc, acc), c
+            assert len(acc) <= 8, c
+
+
+def test_state_cap_bounds_row_sums():
+    depth = STATE_CAP.bit_length() - 1
+    assert len(automaton.reachable(WIDE, depth)) == STATE_CAP
+    sums = batch.row_sums(WIDE, (1 << depth) - 1)
+    assert sums.tolist() == [1 << n.bit_count() for n in range(1 << depth)]
+    with pytest.raises(BoundExceeded, match="automaton states"):
+        batch.row_sums(WIDE, 1 << depth)
+
+
+def test_same_language():
+    assert same_language(FIB, prefix_state(FIB, 1, 0, 0), START)  # F(2n, 2k) = F(n, k)
+    assert same_language(FIB, prefix_state(FIB, 2, 3, 1), START)  # F(4n+3, 4k+1) = F(n, k)
+    assert not same_language(FIB, prefix_state(FIB, 2, 1, 1), START)
+    assert not same_language(FIB, START, None)  # F(0, 0) = 1
+    assert same_language(FIB, prefix_state(FIB, 1, 0, 1), None)  # odd k, even n
+    with pytest.raises(BoundExceeded, match="state pairs"):
+        same_language(WIDE, prefix_state(WIDE, 1, 0, 0), START)

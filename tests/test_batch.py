@@ -40,20 +40,22 @@ def test_row_sums_equals_scalar():
             assert int(sums[n]) == sum_direct(c, n), (c, n)
 
 
-def test_row_sums_match_oracle_at_block_boundaries():
-    # sizes around the 2^L split between the shared low pairs and the high walk
-    w = 1 << batch._LOW_BITS
-    sizes = [0, 1, w - 1, w, w + 1, 3 * w + 5]
+def test_row_sums_match_oracle_around_the_split():
+    # row_sums splits the bits of n into a low and a high half; the split
+    # moves at every power of two
+    sizes = sorted({0, 1, 2, 3} | {(1 << j) + d for j in range(1, 13) for d in (-1, 0, 1)})
     for c in ((1, -1, 0, 6), (1, 1, 1, -1)):
+        ref = {}
         longest = batch.row_sums(c, sizes[-1])
+        probes = set(sizes) | set(range(0, sizes[-1] + 1, 97))
+        for n in sorted(probes):
+            ref[n] = row_sum_ref(c, n)
+            assert int(longest[n]) == ref[n], (c, n)
         for n_max in sizes:
             sums = batch.row_sums(c, n_max)
             assert sums.dtype == np.int64 and len(sums) == n_max + 1
             assert np.array_equal(sums, longest[: n_max + 1]), (c, n_max)
-            probes = {0, n_max, n_max - 1, w - 1, w, w + 1, 2 * w - 1, 2 * w, 3 * w - 1}
-            probes |= set(range(0, n_max + 1, 97))
-            for n in sorted(p for p in probes if 0 <= p <= n_max):
-                assert int(sums[n]) == row_sum_ref(c, n), (c, n_max, n)
+            assert int(sums[-1]) == ref[n_max], (c, n_max)
 
 
 def test_int64_overflow_is_refused():

@@ -206,6 +206,15 @@ class TestBadInput:
         assert run(capsys, "seq", "--coeffs", "4611686018427387904,0,0,0",
                    "--method", "oracle", "--at", "3") == (0, "3 4\n", "")
 
+    def test_automaton_state_cap_is_refused(self, capsys):
+        # the top carry of 2^40*n holds the low bits of n: 2^j states for 2^j rows
+        argv = ("seq", "--coeffs", f"{1 << 40},0,0,0", "--method", "oracle", "--count")
+        code, out, _ = run(capsys, *argv, "256")
+        assert code == 0 and out.endswith("255 256\n")
+        code, out, err = run(capsys, *argv, "257")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ("triangle", "--rows", "-2", "--format", "pbm"),
         ("triangle", "--rows", "0"),

@@ -3,12 +3,17 @@
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from binomod2 import batch
 from binomod2.errors import ParseError
 from binomod2.registry import lookup
 from binomod2.rulesys import ResidueRule, parse_system
 from binomod2.verifier import (
+    DOMAIN_ALL,
     DOMAIN_K_GT_N,
     ConjectureResult,
     IdentityStatement,
@@ -26,6 +31,30 @@ from .oracles import f_ref
 FIB = (1, -1, 0, 2)
 POSINT = (1, 1, 1, -1)
 ONES = (1, -1, 0, 1)
+
+
+def _grid_verdict(stmt, bound):
+    """(passed, minimal counterexample) straight from the F grids."""
+    c = stmt.coefficients
+    lhs = batch.f_affine_grid(c, stmt.lhs, bound)
+    rhs = np.zeros_like(lhs) if stmt.rhs is None else batch.f_affine_grid(c, stmt.rhs, bound)
+    diff = lhs != rhs
+    if stmt.domain == DOMAIN_K_GT_N:
+        diff = np.triu(diff, 1)  # cells with k > n
+    bad = np.argwhere(diff)
+    return (True, None) if len(bad) == 0 else (False, tuple(int(v) for v in bad[0]))
+
+
+@st.composite
+def _statements(draw):
+    def side():
+        p, p2 = (draw(st.sampled_from((1, 2, 4, 8))) for _ in range(2))
+        return p, draw(st.integers(0, p - 1)), p2, draw(st.integers(0, p2 - 1))
+
+    c = draw(st.tuples(*[st.integers(-3, 3)] * 4))
+    lhs = side()
+    rhs = side() if draw(st.booleans()) else None
+    return IdentityStatement(c, lhs, rhs, draw(st.sampled_from((DOMAIN_ALL, DOMAIN_K_GT_N))))
 
 
 class TestStatementGrammar:
@@ -132,6 +161,26 @@ class TestCheckIdentity:
                 cx is None, cx, len(cells)
             ), stmt.text()
 
+    def test_proof_and_grid_fallback(self):
+        true = IdentityStatement(FIB, (4, 3, 4, 1), (1, 0, 1, 0))
+        assert check_identity(true, 0).proved and check_identity(true, 1 << 40).passed
+        assert not check_identity(IdentityStatement(FIB, (4, 1, 4, 1), (1, 0, 1, 0)), 16).proved
+        # different multipliers of n and k: the grid decides
+        uneven = IdentityStatement(POSINT, (2, 1, 1, 0), None)
+        r = check_identity(uneven, 24)
+        assert not r.proved and (r.passed, r.counterexample) == _grid_verdict(uneven, 24)
+        # a true statement whose search passes automaton.STATE_CAP pairs
+        wide = IdentityStatement((1 << 40, 0, 0, 0), (2, 0, 2, 0), (1, 0, 1, 0))
+        r = check_identity(wide, 16)
+        assert r.passed and not r.proved
+
+    @settings(max_examples=300, deadline=None)
+    @given(_statements())
+    def test_proved_statements_pass_on_the_grid(self, stmt):
+        r = check_identity(stmt, 48)
+        assert (r.passed, r.counterexample) == _grid_verdict(stmt, 48), stmt.text()
+        assert r.passed or not r.proved
+
     def test_method_and_bound_validated(self):
         stmt = IdentityStatement(FIB, (1, 0, 1, 0), None, DOMAIN_K_GT_N)
         with pytest.raises(TypeError):  # the grid is the only method
@@ -146,6 +195,20 @@ class TestCorpus:
         assert len(corpus) == 438
         assert sum(1 for cs in corpus if cs.expect == "pass") == 431
         assert sum(1 for cs in corpus if cs.expect == "fail") == 7
+
+    def test_every_line_agrees_with_the_grid(self):
+        for cs in load_corpus():
+            r = check_identity(cs.statement, 64)
+            assert (r.passed, r.counterexample) == _grid_verdict(cs.statement, 64), r.label
+
+    def test_pass_lines_are_proved(self):
+        reports = check_lemma_corpus(256)
+        assert sum(r.proved for r in reports) == 431
+        for r in reports:
+            assert r.proved == (r.expected == "pass"), r.label
+            assert r.checked_count == 257**2 or "domain=k>n" in r.label
+            if r.expected == "fail":
+                assert r.counterexample == (0, 0)
 
     def test_corpus_all_as_expected_at_small_bound(self):
         # every expect=fail line already breaks at (0, 0)
