@@ -7,7 +7,6 @@ from .parity_core import (
     binom_parity,
     f_value,
     g_value,
-    sum_direct,
 )
 from .registry import builtin_entries, lookup, lookup_by_coefficients
 from .rulesys import ResidueRule, RuleSystem, format_system, parse_system
@@ -29,6 +28,7 @@ from .verifier import (
     conjecture_rules,
     load_corpus,
 )
+from .automaton import sum_direct  # last: loading numpy sooner raised bench RSS
 
 __all__ = [
     "DEFAULT_ORACLE_BOUND",

@@ -13,7 +13,8 @@ the automaton is finite.
 Summed over the bit of k, the transitions become the matrices M0 and M1 of
 a 2-regular linear representation (Allouche & Shallit, "The ring of
 k-regular sequences", 1992): a(n) = e0 . M[n_0] . M[n_1] ... acc, and
-M0 . acc = acc, so leading zeros of n are harmless.
+M0 . acc = acc, so leading zeros of n are harmless. sum_direct walks that
+product for one n; batch.row_sums builds it for a whole prefix.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ State = tuple[int, int]  # (top carry, bottom carry); None is failure
 
 START: State = (0, 0)
 
-# Most states (or state pairs) one search may visit. The registry's vectors
-# need at most 8 states and any vector in [-3, 4]^4 at most 26; huge
-# coefficients can need millions. M0 and M1 are dense d x d arrays.
+# Most states (or state pairs) one search may visit, and most states live at
+# once in sum_direct. The registry's vectors need at most 8 states and any
+# vector in [-3, 4]^4 at most 26; huge coefficients can need millions. M0 and
+# M1 are dense d x d arrays.
 STATE_CAP = 256
 
 # fixed points of the zero-bit flush that do not fail; only START accepts
@@ -67,6 +69,28 @@ def prefix_state(c: Coeffs, bits: int, n: int, k: int) -> State | None:
     for i in range(bits):
         state = step(c, state, n >> i & 1, k >> i & 1)
     return state
+
+
+def sum_direct(c: Coeffs, n: int) -> int:
+    """Row sum a(n) = sum_{k=0..n} F(n, k), read bit-serially through the automaton.
+
+    Counts the prefixes of k that reach each live state, bit by bit of n,
+    lowest first; a(n) is the count in accepting states. Time is linear in
+    n's bit length. Raises BoundExceeded past STATE_CAP live states.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    counts = {START: 1}
+    for n_bit in map(int, reversed(bin(n)[2:])):
+        nxt: dict[State, int] = {}
+        for s, count in counts.items():
+            for t in (step(c, s, n_bit, 0), step(c, s, n_bit, 1)):
+                if t is not None:
+                    nxt[t] = nxt.get(t, 0) + count
+        if len(nxt) > STATE_CAP:
+            raise BoundExceeded(f"coefficients {tuple(c)} need more than {STATE_CAP} live states")
+        counts = nxt
+    return sum(count for s, count in counts.items() if accepts(c, s))
 
 
 def reachable(c: Coeffs, depth: int) -> list[State]:

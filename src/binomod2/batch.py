@@ -50,7 +50,7 @@ def f_grid(c: Coeffs, bound: int) -> np.ndarray:
     return f_affine_grid(c, (1, 0, 1, 0), bound)
 
 
-def row_sums(c: Coeffs, n_max: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> np.ndarray:
+def row_sums(c: Coeffs, n_max: int) -> np.ndarray:
     """sum_direct(c, n) for all 0 <= n <= n_max, by the carry automaton's transfer matrices.
 
     Split n = h*2^L + lo. Then a(n) = U[lo] . R[h], where the row
@@ -59,8 +59,8 @@ def row_sums(c: Coeffs, n_max: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) ->
     continuations of the high part h. Both tables are built by doubling, so
     d states cost N*d for the product and sqrt(N)*d^2 for the tables.
     """
-    if n_max > oracle_bound:
-        raise BoundExceeded(f"n={n_max} exceeds oracle bound {oracle_bound}")
+    if n_max > DEFAULT_ORACLE_BOUND:
+        raise BoundExceeded(f"n={n_max} exceeds oracle bound {DEFAULT_ORACLE_BOUND}")
     _check_int64(c, n_max)
     bits = n_max.bit_length()
     m0, m1, acc = automaton.linear_rep(c, bits)

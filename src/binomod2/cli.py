@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from . import batch
+from .automaton import sum_direct
 from .errors import (
     BadId,
     BinomError,
@@ -23,7 +24,7 @@ from .errors import (
     ParseError,
 )
 from .oeis_client import compare, fetch_bfile
-from .parity_core import DEFAULT_ORACLE_BOUND, binom_parity, f_value, sum_direct
+from .parity_core import binom_parity, f_value
 from .registry import builtin_entries, lookup, lookup_by_coefficients
 from .rulesys import format_system
 from .transform import mu, rlt_by_runs
@@ -88,7 +89,7 @@ def cmd_mu(args) -> int:
 
 def _seq_values(args, entry, coeffs, count: int) -> list[int]:
     if args.method == "oracle":
-        return [int(v) for v in batch.row_sums(coeffs, count - 1, args.oracle_bound)]
+        return [int(v) for v in batch.row_sums(coeffs, count - 1)]
     if args.method == "rules":
         return entry.rules.first_terms(count)
     return [rlt_by_runs(entry.base, n) for n in range(count)]
@@ -103,7 +104,7 @@ def cmd_seq(args) -> int:
     if args.at is not None:
         n = args.at
         if args.method == "oracle":
-            v = sum_direct(coeffs, n, args.oracle_bound)
+            v = sum_direct(coeffs, n)
         elif args.method == "rules":
             v = entry.rules.eval(n)
         else:
@@ -155,9 +156,7 @@ def cmd_verify(args) -> int:
     entry = lookup(args.entry)
     failures = 0
     for c in (entry.coefficients,) + tuple(entry.aliases):
-        r = check_triple_equivalence(
-            entry, args.bound, coefficients=c, oracle_bound=args.oracle_bound
-        )
+        r = check_triple_equivalence(entry, args.bound, coefficients=c)
         failures += not r.passed
         suffix = f" {r.detail}" if r.detail else ""
         print(f"{r.result} {r.label}{suffix}")
@@ -230,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=_positive, default=32)
     sp.add_argument("--at", type=int, metavar="N",
                     help="evaluate at one index (any size) instead of a prefix")
-    sp.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND,
-                    help="oracle cap: submask steps with --at, largest index otherwise")
     sp.set_defaults(fn=cmd_seq)
 
     sp = sub.add_parser("rlt", help="run length transform of a base sequence")
@@ -245,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--corpus", action="store_true")
     g.add_argument("--entry")
     sp.add_argument("--bound", type=_positive, default=128)
-    sp.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("conjecture", help="fit residue rules from sequence values")

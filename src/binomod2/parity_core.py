@@ -3,20 +3,17 @@
 Everything here works on arbitrary-precision integers. The central fact
 (Lucas' theorem mod 2): C(n, k) is odd exactly when every 1-bit of k is
 also set in n. A product of binomials is odd exactly when every factor is,
-which collapses to a single bitmask test per factor; and since F carries the
-factor C(n, k), a row sum only has to visit the 2^popcount(n) submasks of n.
+which collapses to a single bitmask test per factor. Row sums come from the
+carry automaton (automaton.py), which makes the same two tests bit by bit.
 """
 
 from __future__ import annotations
 
-from .errors import BoundExceeded
-
 Coeffs = tuple[int, int, int, int]
 
-# Caps the work of the direct routes: sum_direct's 2^popcount(n) submask
-# steps, and the length of batch.row_sums' prefix arrays, whose cost is
-# linear in that length. Past it callers should evaluate through a rule
-# system instead.
+# Caps the direct routes' grids: the length of a batch.row_sums prefix, and
+# the (bound+1)^2 cells of an identity check that falls back to the grid.
+# One index needs no cap, as automaton.sum_direct is linear in its bit length.
 DEFAULT_ORACLE_BOUND = 1 << 24
 
 
@@ -55,23 +52,3 @@ def f_value(c: Coeffs, n: int, k: int) -> int:
         return 0
     return 1 if g == 0 else 0
 
-
-def sum_direct(c: Coeffs, n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> int:
-    """Row sum a(n) = sum_{k=0..n} f_value(c, n, k), over the submasks of n.
-
-    Every other k has C(n, k) even, so walking k = (k-1) & n from n down to
-    0 gives the same sum in 2^popcount(n) steps. Raises BoundExceeded when
-    that step count is above oracle_bound, whatever the size of n.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    pop = n.bit_count()
-    if 1 << pop > oracle_bound:
-        raise BoundExceeded(f"2^{pop} submask steps exceed oracle bound {oracle_bound}")
-    total = 0
-    k = n
-    while True:
-        total += f_value(c, n, k)
-        if k == 0:
-            return total
-        k = (k - 1) & n

@@ -202,7 +202,8 @@ def check_identity(stmt: IdentityStatement, bound: int) -> VerificationReport:
     A statement the carry automaton proves passes at any bound, with
     proved=True and no grid. Any other statement is checked cell by cell on
     the vectorized grid, which reports the lexicographically minimal
-    counterexample within the bound.
+    counterexample within the bound; a grid of more than DEFAULT_ORACLE_BOUND
+    cells raises BoundExceeded.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -219,6 +220,8 @@ def check_identity(stmt: IdentityStatement, bound: int) -> VerificationReport:
             checked_count=checked,
             proved=True,
         )
+    if (bound + 1) ** 2 > DEFAULT_ORACLE_BOUND:
+        raise BoundExceeded(f"grid at bound {bound} exceeds {DEFAULT_ORACLE_BOUND} cells")
     c = stmt.coefficients
     lhs = batch.f_affine_grid(c, stmt.lhs, bound)
     rhs = np.zeros_like(lhs) if stmt.rhs is None else batch.f_affine_grid(c, stmt.rhs, bound)
@@ -265,7 +268,6 @@ def check_triple_equivalence(
     entry: RegistryEntry,
     bound: int,
     coefficients: Coeffs | None = None,
-    oracle_bound: int = DEFAULT_ORACLE_BOUND,
 ) -> VerificationReport:
     """PASS iff direct summation, rule evaluation, and run-product agree on [0, bound].
 
@@ -273,7 +275,7 @@ def check_triple_equivalence(
     against the entry's rules and base).
     """
     c = entry.coefficients if coefficients is None else coefficients
-    sums = batch.row_sums(c, bound, oracle_bound)
+    sums = batch.row_sums(c, bound)
     rules_vals = entry.rules.first_terms(bound + 1)
     runs_vals = [rlt_by_runs(entry.base, n) for n in range(bound + 1)]
     cx = None
@@ -364,7 +366,6 @@ def conjecture_rules(
     max_modulus_exp: int,
     sample_bound: int,
     validation_bound: int,
-    oracle_bound: int = DEFAULT_ORACLE_BOUND,
 ) -> ConjectureResult:
     """Empirically fit a residue rule system for the row-sum sequence of c.
 
@@ -388,7 +389,7 @@ def conjecture_rules(
     w = 1 << m
     if sample_bound < 4 * w:
         raise ValueError(f"sample_bound too small; need at least {4 * w}")
-    a = batch.row_sums(c, validation_bound, oracle_bound)
+    a = batch.row_sums(c, validation_bound)
     rules: list[ResidueRule] = []
     failed: list[int] = []
 

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomod2 import automaton, batch
-from binomod2.automaton import START, STATE_CAP, accepts, prefix_state, same_language
+from binomod2.automaton import (
+    START,
+    STATE_CAP,
+    accepts,
+    prefix_state,
+    same_language,
+    sum_direct,
+)
 from binomod2.errors import BoundExceeded
 from binomod2.registry import builtin_entries
 
@@ -28,7 +35,9 @@ def test_acceptance_is_f(c, n, k, pad):
 @settings(max_examples=60, deadline=None)
 @given(SMALL, st.integers(0, 80))
 def test_row_sums_are_row_sum_ref(c, n_max):
-    assert batch.row_sums(c, n_max).tolist() == [row_sum_ref(c, n) for n in range(n_max + 1)]
+    ref = [row_sum_ref(c, n) for n in range(n_max + 1)]
+    assert batch.row_sums(c, n_max).tolist() == ref
+    assert [sum_direct(c, n) for n in range(n_max + 1)] == ref
 
 
 def test_leading_zeros_are_harmless():
@@ -46,6 +55,17 @@ def test_state_cap_bounds_row_sums():
     assert sums.tolist() == [1 << n.bit_count() for n in range(1 << depth)]
     with pytest.raises(BoundExceeded, match="automaton states"):
         batch.row_sums(WIDE, 1 << depth)
+
+
+def test_state_cap_bounds_sum_direct():
+    # the carries of 2^40*n depend on n alone: one live state per index
+    assert sum_direct(WIDE, 1 << 1000) == 2
+    # a2 = 2^20 puts the low bits of k in the top carry: 2^9 live states at 511
+    wider = (1 << 40, 1 << 20, 0, 0)
+    with pytest.raises(BoundExceeded, match="live states"):
+        sum_direct(wider, 511)
+    with pytest.raises(BoundExceeded, match="automaton states"):
+        batch.row_sums(wider, 511)
 
 
 def test_same_language():

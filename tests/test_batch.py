@@ -5,7 +5,8 @@ import pytest
 
 from binomod2 import batch
 from binomod2.errors import BoundExceeded
-from binomod2.parity_core import f_value, sum_direct
+from binomod2.automaton import sum_direct
+from binomod2.parity_core import f_value
 from binomod2.registry import builtin_entries
 
 from .oracles import ORACLE, row_sum_ref

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import random
 import tempfile
 
 import pytest
@@ -64,13 +65,9 @@ class TestSeq:
         assert code == 0
         assert out == "0 1\n1 2\n2 2\n3 4\n4 2\n5 4\n6 4\n7 8\n"
 
-    def test_oracle_bound_counts_submask_steps(self, capsys):
-        # 2^30 has one set bit, so the oracle walks two submasks
+    def test_oracle_at_a_large_power_of_two(self, capsys):
         assert run(capsys, "seq", "--entry", "fib", "--method", "oracle",
                    "--at", "1073741824") == (0, "1073741824 1\n", "")
-        code, out, err = run(capsys, "seq", "--entry", "fib", "--method", "oracle",
-                             "--at", "1073741824", "--oracle-bound", "1")
-        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_at_huge_index(self, capsys):
         n = (1 << 1000) | 0b110111
@@ -81,6 +78,16 @@ class TestSeq:
         assert code_r == code_t == 0
         assert out_r == out_t
         assert out_r.startswith(str(n) + " ")
+        # a dense 1000-bit index: all three routes, every vector of every entry
+        dense = random.Random(2016).getrandbits(999) | 1 << 999
+        assert dense.bit_count() >= 400
+        for e in builtin_entries():
+            want = {run(capsys, "seq", "--entry", e.name, "--method", method,
+                        "--at", str(dense)) for method in ("rules", "rlt")}
+            for c in (e.coefficients,) + tuple(e.aliases):
+                got = run(capsys, "seq", "--coeffs", ",".join(map(str, c)),
+                          "--method", "oracle", "--at", str(dense))
+                assert want == {got}, (e.name, c)
 
     def test_unknown_coefficients_need_an_entry(self, capsys):
         code, _, err = run(capsys, "seq", "--coeffs", "5,5,5,5", "--method", "rules")
@@ -215,6 +222,12 @@ class TestBadInput:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_oversized_grid_is_refused(self, capsys):
+        # the corpus's refuted lines fall back to a (bound+1)^2 grid
+        code, out, err = run(capsys, "verify", "--corpus", "--bound", "5000")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ("triangle", "--rows", "-2", "--format", "pbm"),
         ("triangle", "--rows", "0"),
@@ -264,16 +277,13 @@ def _argv(draw):
         argv += draw(_opt("--entry", st.sampled_from(_NAMES)))
         argv += draw(_opt("--coeffs", _coeffs))
         argv += draw(_opt("--count", _counts))
-        at_max = 1 << 12 if method == "oracle" else 1 << 80
-        argv += draw(_opt("--at", st.integers(-2, at_max).map(str)))
-        return argv + draw(_opt("--oracle-bound", st.integers(-1, 5000).map(str)))
+        return argv + draw(_opt("--at", st.integers(-2, 1 << 80).map(str)))
     if cmd == "rlt":
         return [cmd, "--base", draw(st.sampled_from(_NAMES))] + draw(_opt("--count", _counts))
     if cmd == "verify":
         target = draw(st.one_of(st.just(["--corpus"]),
                                 st.sampled_from(_NAMES).map(lambda n: ["--entry", n])))
-        return ([cmd] + target + draw(_opt("--bound", _counts))
-                + draw(_opt("--oracle-bound", st.integers(-1, 100).map(str))))
+        return [cmd] + target + draw(_opt("--bound", _counts))
     if cmd == "conjecture":
         return ([cmd, "--coeffs", draw(_coeffs),
                  "--max-mod", str(draw(st.integers(-1, 4)))]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomod2 import batch
-from binomod2.errors import ParseError
+from binomod2.errors import BoundExceeded, ParseError
 from binomod2.registry import lookup
 from binomod2.rulesys import ResidueRule, parse_system
 from binomod2.verifier import (
@@ -164,7 +164,10 @@ class TestCheckIdentity:
     def test_proof_and_grid_fallback(self):
         true = IdentityStatement(FIB, (4, 3, 4, 1), (1, 0, 1, 0))
         assert check_identity(true, 0).proved and check_identity(true, 1 << 40).passed
-        assert not check_identity(IdentityStatement(FIB, (4, 1, 4, 1), (1, 0, 1, 0)), 16).proved
+        refuted = IdentityStatement(FIB, (4, 1, 4, 1), (1, 0, 1, 0))
+        assert not check_identity(refuted, 16).proved
+        with pytest.raises(BoundExceeded, match="cells"):  # 4097^2 > 2^24, before any grid
+            check_identity(refuted, 4096)
         # different multipliers of n and k: the grid decides
         uneven = IdentityStatement(POSINT, (2, 1, 1, 0), None)
         r = check_identity(uneven, 24)
