@@ -61,7 +61,6 @@ def row_sums(c: Coeffs, n_max: int) -> np.ndarray:
     """
     if n_max > DEFAULT_ORACLE_BOUND:
         raise BoundExceeded(f"n={n_max} exceeds oracle bound {DEFAULT_ORACLE_BOUND}")
-    _check_int64(c, n_max)
     bits = n_max.bit_length()
     m0, m1, acc = automaton.linear_rep(c, bits)
     low = (bits + 1) // 2

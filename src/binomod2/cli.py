@@ -111,8 +111,8 @@ def cmd_seq(args) -> int:
             v = rlt_by_runs(entry.base, n)
         print(f"{n} {v}")
         return 0
-    for n, v in enumerate(_seq_values(args, entry, coeffs, args.count)):
-        print(f"{n} {v}")
+    values = _seq_values(args, entry, coeffs, args.count)
+    sys.stdout.writelines(f"{n} {v}\n" for n, v in enumerate(values))
     return 0
 
 
@@ -133,8 +133,7 @@ def cmd_rlt(args) -> int:
         base = terms
     else:
         base = lookup(args.base).base
-    for n in range(args.count):
-        print(f"{n} {rlt_by_runs(base, n)}")
+    sys.stdout.writelines(f"{n} {rlt_by_runs(base, n)}\n" for n in range(args.count))
     return 0
 
 
@@ -164,10 +163,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    sample = args.sample_bound if args.sample_bound is not None else min(
-        args.bound, max(4 << args.max_mod, 256)
-    )
-    res = conjecture_rules(args.coeffs, args.max_mod, sample, args.bound)
+    # the rules are derived for every n, so both bounds are the least allowed
+    bound = 4 << max(args.max_mod, 0)
+    res = conjecture_rules(args.coeffs, args.max_mod, bound, bound)
     if res.failed_residues:
         for r in res.failed_residues:
             print(f"no rule found for residue {r} mod {1 << args.max_mod}")
@@ -244,13 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound", type=_positive, default=128)
     sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("conjecture", help="fit residue rules from sequence values")
+    sp = sub.add_parser("conjecture", help="derive residue rules that hold for every n")
     sp.add_argument("--coeffs", type=_coeffs, required=True, metavar="a1,a2,a3,a4")
     sp.add_argument("--max-mod", type=int, required=True, metavar="M",
                     help="modulus exponent: odd residues are classified mod 2^M")
-    sp.add_argument("--bound", type=_positive, default=4096,
-                    help="validate every fitted rule on all indices up to this")
-    sp.add_argument("--sample-bound", type=int)
     sp.set_defaults(fn=cmd_conjecture)
 
     sp = sub.add_parser("oeis", help="OEIS utilities")

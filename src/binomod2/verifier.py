@@ -1,5 +1,5 @@
 """Identity proofs and checks, triple-equivalence certification, and
-empirical conjecture of residue rule systems.
+exact derivation of residue rule systems.
 
 Identity statements are claims of the form F(p*n+q, p2*k+q2) = 0 or
 = F(u*n+v, u2*k+v2). When each side uses one multiplier for n and k, the
@@ -13,6 +13,7 @@ form expect=pass) so the suite documents the errata.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -351,14 +352,35 @@ class ConjectureResult:
         return RuleSystem(self.discovered_rules, {0: 1})
 
 
-def _validate_rule(a: np.ndarray, m: int, r: int, terms, bound: int) -> bool:
-    w = 1 << m
-    qs = np.arange((bound - r) // w + 1, dtype=np.int64)
-    want = a[w * qs + r]
-    got = np.zeros_like(want)
-    for coeff, e, f in terms:
-        got += coeff * a[e * qs + f]
-    return bool(np.array_equal(want, got))
+def _deciding_indices(c: Coeffs) -> list[int]:
+    """Indices q whose vectors v(q) span every v(q'), smallest first.
+
+    With v(0) = acc and v(2q+b) = M[b] . v(q), a(2^j q + x) = e0 . M[x_0] ...
+    M[x_(j-1)] . v(q), so a linear relation among such values that holds
+    on these q holds for every q. The closure keeps a q only when v(q) is
+    independent of the vectors kept before it, so it ends within the
+    automaton's state count (Berstel & Reutenauer, ch. 1). Raises
+    BoundExceeded past automaton.STATE_CAP states.
+    """
+    m0, m1, acc = automaton.linear_rep(c, automaton.STATE_CAP)
+    mats = (m0.tolist(), m1.tolist())  # Python ints: v(q) grows like 2^bitlen(q)
+    kept: list[int] = []
+    basis: list[tuple[int, list[int]]] = []  # (pivot, reduced vector)
+    todo = [(0, acc.tolist())]
+    for q, v in todo:
+        rest = v
+        for p, b in basis:
+            if rest[p]:
+                rest = [b[p] * x - rest[p] * y for x, y in zip(rest, b)]
+        pivot = next((i for i, x in enumerate(rest) if x), None)
+        if pivot is None:
+            continue
+        g = math.gcd(*rest)
+        basis.append((pivot, [x // g for x in rest]))
+        kept.append(q)
+        for bit, mat in enumerate(mats):
+            todo.append((2 * q + bit, [sum(x * y for x, y in zip(row, v)) for row in mat]))
+    return kept
 
 
 def conjecture_rules(
@@ -367,7 +389,7 @@ def conjecture_rules(
     sample_bound: int,
     validation_bound: int,
 ) -> ConjectureResult:
-    """Empirically fit a residue rule system for the row-sum sequence of c.
+    """Derive a residue rule system for the row-sum sequence of c, for every n.
 
     The even residue takes the halving rule a(2q) = a(q) or fails. For each
     odd residue r mod 2^m the candidate children are a(2^j q + 2^j - 1) for
@@ -376,10 +398,15 @@ def conjecture_rules(
     for r < 2^m - 1 each single child, plain a(q) first for low residues
     and the scale picked by the split mu(r) first for high ones; then, for
     every r, all candidate children together, largest scale first. Each set
-    is fitted by one exact rational solve on the sampled indices q, and the
-    first integral fit that holds exactly on every index up to
-    validation_bound is kept. Residues with no such fit are reported in
-    failed_residues.
+    is fitted by one exact rational solve on the deciding indices q of the
+    carry automaton, and the first integral fit is kept: it holds for every
+    q. A residue in failed_residues is no sampling accident: no candidate
+    set has an integral solution with its free coefficients at 0.
+
+    sample_bound and validation_bound are still checked but no longer change
+    the result. Raises BoundExceeded when 4 * 2^m exceeds
+    DEFAULT_ORACLE_BOUND or the automaton needs more than
+    automaton.STATE_CAP states.
     """
     m = max_modulus_exp
     if m < 1:
@@ -389,11 +416,20 @@ def conjecture_rules(
     w = 1 << m
     if sample_bound < 4 * w:
         raise ValueError(f"sample_bound too small; need at least {4 * w}")
-    a = batch.row_sums(c, validation_bound)
+    if 4 * w > DEFAULT_ORACLE_BOUND:
+        raise BoundExceeded(f"modulus 2^{m}: 4 * 2^{m} exceeds oracle bound {DEFAULT_ORACLE_BOUND}")
+    qs = _deciding_indices(c)
+    values: dict[int, int] = {}
+
+    def a(n: int) -> int:
+        if n not in values:
+            values[n] = automaton.sum_direct(c, n)
+        return values[n]
+
     rules: list[ResidueRule] = []
     failed: list[int] = []
 
-    if _validate_rule(a, 1, 0, [(1, 1, 0)], validation_bound):
+    if all(a(2 * q) == a(q) for q in qs):
         rules.append(ResidueRule(1, 0, ((1, 1, 0),)))
     else:
         failed.append(0)
@@ -408,18 +444,12 @@ def conjecture_rules(
             j0 = m - mu(r)[2]
             order = [j0] + [j for j in range(m) if j != j0]
         candidates = [[basis[j]] for j in order if basis[j][1] < r]
-        usable = [(e, f) for e, f in reversed(basis) if f < r]
-        candidates.append(usable)
-        sample_q = max(len(usable) + 4, (sample_bound - r) // w)
-        qs = np.arange(min(sample_q, (validation_bound - r) // w) + 1, dtype=np.int64)
-        target = a[w * qs + r].tolist()
+        candidates.append([(e, f) for e, f in reversed(basis) if f < r])
+        target = [a(w * q + r) for q in qs]
         for cols in candidates:
-            rows = np.stack([a[e * qs + f] for e, f in cols], axis=1).tolist()
-            sol = solve_exact(rows, target)
-            if sol is None or any(x.denominator != 1 for x in sol):
-                continue
-            terms = tuple((int(x), e, f) for x, (e, f) in zip(sol, cols) if x != 0)
-            if _validate_rule(a, m, r, terms, validation_bound):
+            sol = solve_exact([[a(e * q + f) for e, f in cols] for q in qs], target)
+            if sol is not None and all(x.denominator == 1 for x in sol):
+                terms = tuple((int(x), e, f) for x, (e, f) in zip(sol, cols) if x != 0)
                 rules.append(ResidueRule(m, r, terms))
                 break
         else:

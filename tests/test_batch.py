@@ -60,13 +60,13 @@ def test_row_sums_match_oracle_around_the_split():
 
 
 def test_int64_overflow_is_refused():
-    huge = (1 << 62, 0, 0, 0)
+    # the grid forms a*n + b*k in int64; row sums keep the carries in Python ints
     with pytest.raises(BoundExceeded):
-        batch.row_sums(huge, 3)
-    with pytest.raises(BoundExceeded):
-        batch.row_sums((1 << 63, 0, 0, 0), 0)
-    with pytest.raises(BoundExceeded):
-        batch.f_affine_grid(huge, (1, 0, 1, 0), 3)
+        batch.f_affine_grid((1 << 62, 0, 0, 0), (1, 0, 1, 0), 3)
+    # C(a1*n, 0) = 1, so a(n) = 2^popcount(n)
+    want = [1 << bin(n).count("1") for n in range(256)]
+    for a1 in (1 << 62, 1 << 63, 1 << 200):
+        assert batch.row_sums((a1, 0, 0, 0), 255).tolist() == want, a1
     assert int(batch.row_sums((1 << 40, 0, 0, 0), 3)[3]) == 4
 
 

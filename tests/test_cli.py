@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomod2 import automaton
 from binomod2.cli import main
 from binomod2.registry import builtin_entries, lookup
 from binomod2.rulesys import format_system
@@ -147,15 +148,37 @@ class TestVerify:
 class TestConjecture:
     def test_rediscovers_narayana(self, capsys):
         code, out, _ = run(capsys, "conjecture", "--coeffs", "1,-1,0,6",
-                           "--max-mod", "3", "--bound", "2048")
+                           "--max-mod", "3")
         assert code == 0
         assert out == format_system(lookup("cows").rules)
 
     def test_reports_unfittable_residue(self, capsys):
         code, out, _ = run(capsys, "conjecture", "--coeffs", "1,1,1,-1",
-                           "--max-mod", "1", "--bound", "512")
+                           "--max-mod", "1")
         assert code == 1
         assert "no rule found for residue 1 mod 2" in out
+
+    def test_only_coefficients_and_modulus_are_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["conjecture", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--coeffs" in out and "--max-mod" in out and "bound" not in out
+
+    def test_state_cap_and_modulus_cap_are_refused(self, capsys, monkeypatch):
+        code, out, err = run(capsys, "conjecture", "--coeffs", f"{1 << 40},0,0,0",
+                             "--max-mod", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+        def no_work(*args):
+            raise AssertionError("built an automaton past the modulus cap")
+
+        monkeypatch.setattr(automaton, "linear_rep", no_work)
+        monkeypatch.setattr(automaton, "sum_direct", no_work)
+        code, out, err = run(capsys, "conjecture", "--coeffs", "1,1,1,-1", "--max-mod", "23")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestOeis:
@@ -203,15 +226,13 @@ class TestTriangle:
 
 
 class TestBadInput:
-    def test_int64_coefficients_are_refused(self, capsys):
+    def test_int64_coefficients_are_exact(self, capsys):
+        # the automaton's carries are Python ints; C(a1*n, 0) = 1 gives 2^popcount(n)
         for a1 in ("4611686018427387904", "9223372036854775808"):
-            code, out, err = run(capsys, "seq", "--coeffs", f"{a1},0,0,0",
-                                 "--method", "oracle", "--count", "4")
-            assert code == 2 and out == ""
-            assert err.startswith("error:") and "Traceback" not in err
-        # one index goes through exact integers and stays correct
-        assert run(capsys, "seq", "--coeffs", "4611686018427387904,0,0,0",
-                   "--method", "oracle", "--at", "3") == (0, "3 4\n", "")
+            assert run(capsys, "seq", "--coeffs", f"{a1},0,0,0", "--method", "oracle",
+                       "--count", "4") == (0, "0 1\n1 2\n2 2\n3 4\n", "")
+            assert run(capsys, "seq", "--coeffs", f"{a1},0,0,0", "--method", "oracle",
+                       "--at", "3") == (0, "3 4\n", "")
 
     def test_automaton_state_cap_is_refused(self, capsys):
         # the top carry of 2^40*n holds the low bits of n: 2^j states for 2^j rows
@@ -236,7 +257,6 @@ class TestBadInput:
         ("seq", "--entry", "fib", "--method", "rlt", "--count", "0"),
         ("seq", "--entry", "fib", "--method", "rules", "--count", "0"),
         ("verify", "--entry", "fib", "--bound", "-1"),
-        ("conjecture", "--coeffs", "1,-1,0,6", "--max-mod", "3", "--bound", "0"),
         ("oeis", "compare", "--id", "A246028", "--entry", "fib", "--count", "0",
          "--offline"),
     ])
@@ -285,10 +305,7 @@ def _argv(draw):
                                 st.sampled_from(_NAMES).map(lambda n: ["--entry", n])))
         return [cmd] + target + draw(_opt("--bound", _counts))
     if cmd == "conjecture":
-        return ([cmd, "--coeffs", draw(_coeffs),
-                 "--max-mod", str(draw(st.integers(-1, 4)))]
-                + draw(_opt("--bound", _counts))
-                + draw(_opt("--sample-bound", _counts)))
+        return [cmd, "--coeffs", draw(_coeffs), "--max-mod", str(draw(st.integers(-1, 4)))]
     if cmd == "oeis":
         return (["oeis", "compare",
                  "--id", draw(st.sampled_from(["A246028", "A106737", "A999999", "junk"])),

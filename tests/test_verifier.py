@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomod2 import batch
+from binomod2 import automaton, batch
 from binomod2.errors import BoundExceeded, ParseError
 from binomod2.registry import lookup
 from binomod2.rulesys import ResidueRule, parse_system
@@ -26,7 +26,7 @@ from binomod2.verifier import (
     solve_exact,
 )
 
-from .oracles import f_ref
+from .oracles import f_ref, row_sum_ref
 
 FIB = (1, -1, 0, 2)
 POSINT = (1, 1, 1, -1)
@@ -323,6 +323,36 @@ class TestConjecture:
             conjecture_rules(POSINT, 2, 256, 128)
         with pytest.raises(ValueError):
             conjecture_rules(POSINT, 4, 32, 1024)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(*[st.integers(-3, 3)] * 4), st.integers(1, 3))
+    def test_every_rule_holds_beyond_any_sample(self, c, m):
+        res = conjecture_rules(c, m, 4 << m, 4 << m)
+        ref = np.array([row_sum_ref(c, n) for n in range(301)])
+        long = batch.row_sums(c, 1 << 16)
+        for rule in res.discovered_rules:
+            w = 1 << rule.modulus_exp
+            for a in (ref, long):
+                q = np.arange((len(a) - 1 - rule.residue) // w + 1)
+                got = sum((k * a[e * q + f] for k, e, f in rule.terms), np.zeros_like(q))
+                assert np.array_equal(a[w * q + rule.residue], got), (c, rule)
+
+    def test_rules_do_not_depend_on_the_bounds(self):
+        res = conjecture_rules((1, -1, 0, 6), 3, 32, 1 << 40)
+        assert res.as_system() == lookup("cows").rules
+
+    def test_caps_are_refused(self, monkeypatch):
+        # the top carry of 2^40*n holds the low bits of n: unboundedly many states
+        with pytest.raises(BoundExceeded):
+            conjecture_rules((1 << 40, 0, 0, 0), 2, 16, 16)
+
+        def no_work(*args):
+            raise AssertionError("built an automaton past the modulus cap")
+
+        monkeypatch.setattr(automaton, "linear_rep", no_work)
+        monkeypatch.setattr(automaton, "sum_direct", no_work)
+        with pytest.raises(BoundExceeded, match="modulus"):
+            conjecture_rules(POSINT, 23, 4 << 23, 4 << 23)
 
     def test_result_is_frozen_record(self):
         res = conjecture_rules(POSINT, 2, 64, 512)
