@@ -257,6 +257,7 @@ class TestBadInput:
         ("seq", "--entry", "fib", "--method", "rlt", "--count", "0"),
         ("seq", "--entry", "fib", "--method", "rules", "--count", "0"),
         ("verify", "--entry", "fib", "--bound", "-1"),
+        ("verify", "--corpus", "--bound", "0"),
         ("oeis", "compare", "--id", "A246028", "--entry", "fib", "--count", "0",
          "--offline"),
     ])
