@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through main(argv), including exit codes."""
 
 import contextlib
+import gc
 import io
 import random
 import tempfile
@@ -32,6 +33,13 @@ class TestScalarCommands:
 
     def test_mu(self, capsys):
         assert run(capsys, "mu", "413") == (0, "3 29 7\n", "")
+
+    def test_repeated_calls_leave_no_cyclic_garbage(self, capsys):
+        # a parser built per call was ~85 KB of cycles left for a full collection
+        run(capsys, "parity", "8", "4")
+        gc.collect()
+        run(capsys, "parity", "8", "4")
+        assert gc.collect() == 0
 
     def test_mu_rejects_even(self, capsys):
         code, out, err = run(capsys, "mu", "6")
