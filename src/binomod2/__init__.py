@@ -28,7 +28,7 @@ from .verifier import (
     conjecture_rules,
     load_corpus,
 )
-from .automaton import sum_direct  # last: loading numpy sooner raised bench RSS
+from .automaton import sum_direct
 
 __all__ = [
     "DEFAULT_ORACLE_BOUND",

@@ -140,23 +140,40 @@ def linear_rep(c: Coeffs, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return m[0], m[1], acc
 
 
-def same_language(c: Coeffs, s: State | None, t: State | None) -> bool:
-    """Whether s and t accept exactly the same pairs (n, k).
+def first_difference(c: Coeffs, s: State | None, t: State | None) -> tuple[int, int] | None:
+    """The least (n, k), by n and then k, on which s and t disagree, or None.
 
-    Breadth-first search over the pairs reachable from (s, t) on equal
-    input; the languages differ exactly when some pair's acceptance does.
+    Breadth-first search over the pairs reachable from (s, t) on equal input,
+    one bit of n and k per layer. Each pair keeps the least (n, k) among the
+    shortest inputs that reach it; the new bit is the most significant so
+    far, so a pair's least input extends a parent's least input. Disagreement
+    needs k <= n (a 1-bit of k above n fails both sides), so a shorter input
+    has a smaller n, and the first layer that disagrees holds the answer.
     Raises BoundExceeded past STATE_CAP pairs.
     """
-    seen = {(s, t)}
+    labels = {(s, t): (0, 0, 0)}  # pair -> (layer, n, k)
     todo = [(s, t)]
+    best = None
     for a, b in todo:
-        if accepts(c, a) != accepts(c, b):
-            return False
+        label = labels[a, b]
+        if best is not None and label[0] > best[0]:
+            break  # the queue is in layer order, so best's layer is done
+        if accepts(c, a) != accepts(c, b) and (best is None or label < best):
+            best = label
+        if best is not None:
+            continue  # the answer is in this layer: expand no further
+        depth, n, k = label
+        bit = 1 << depth
         for n_bit, k_bit in _LETTERS:
             pair = (step(c, a, n_bit, k_bit), step(c, b, n_bit, k_bit))
-            if pair not in seen:
-                if len(seen) == STATE_CAP:
+            old = labels.get(pair)
+            if old is None:
+                if len(labels) == STATE_CAP:
                     raise BoundExceeded(f"more than {STATE_CAP} state pairs")
-                seen.add(pair)
+                labels[pair] = (depth + 1, n | bit * n_bit, k | bit * k_bit)
                 todo.append(pair)
-    return True
+            elif old[0] > depth:  # first reached in this layer: a later parent may give less
+                new = (depth + 1, n | bit * n_bit, k | bit * k_bit)
+                if new < old:
+                    labels[pair] = new
+    return None if best is None else best[1:]

@@ -1,9 +1,10 @@
 """Vectorized twins of the scalar kernels, for grid sweeps and long row sums.
 
 F grids use the same math as parity_core, expressed over numpy int64
-arrays. Row sums come from the carry automaton's transfer matrices
-(automaton.py) instead of from F cell by cell, so a prefix of N row sums
-costs time linear in N. The independent references these are pinned to
+arrays; the tests sweep identity statements on them, a reference
+independent of the carry automaton. Row sums come from the automaton's
+transfer matrices (automaton.py) instead of from F cell by cell, so a
+prefix of N row sums costs time linear in N. The independent references these are pinned to
 live in tests/oracles.py.
 """
 
@@ -43,11 +44,6 @@ def f_affine_grid(c: Coeffs, affine: tuple[int, int, int, int], bound: int) -> n
     n = np.arange(bound + 1, dtype=np.int64)
     k = np.arange(bound + 1, dtype=np.int64)
     return _f_block(c, (p * n + q)[:, None], (p2 * k + q2)[None, :])
-
-
-def f_grid(c: Coeffs, bound: int) -> np.ndarray:
-    """Plain F(n, k) grid for 0 <= n, k <= bound."""
-    return f_affine_grid(c, (1, 0, 1, 0), bound)
 
 
 def row_sums(c: Coeffs, n_max: int) -> np.ndarray:

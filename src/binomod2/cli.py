@@ -226,8 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_mu)
 
     sp = sub.add_parser("seq", help="emit sequence terms in b-file format")
-    sp.add_argument("--entry", help="registry entry name or sequence id")
-    sp.add_argument("--coeffs", type=_coeffs, metavar="a1,a2,a3,a4")
+    g = sp.add_mutually_exclusive_group()
+    g.add_argument("--entry", help="registry entry name or sequence id")
+    g.add_argument("--coeffs", type=_coeffs, metavar="a1,a2,a3,a4",
+                   help="coefficient vector; rules and rlt use the entry it names")
     sp.add_argument("--method", choices=("oracle", "rules", "rlt"), default="rules")
     sp.add_argument("--count", type=_positive, default=32)
     sp.add_argument("--at", type=int, metavar="N",

@@ -6,7 +6,7 @@ class BinomError(Exception):
 
 
 class BoundExceeded(BinomError):
-    """Direct summation refused: the index is above the configured oracle bound."""
+    """Work refused past a cap: prefix length, automaton states or state pairs, or modulus."""
 
 
 class NotSplittable(BinomError):

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 Coeffs = tuple[int, int, int, int]
 
-# Caps the direct routes' grids: the length of a batch.row_sums prefix, and
-# the (bound+1)^2 cells of an identity check that falls back to the grid.
-# One index needs no cap, as automaton.sum_direct is linear in its bit length.
+# Caps the length of a computed prefix: batch.row_sums and
+# RuleSystem.first_terms hold at most DEFAULT_ORACLE_BOUND + 1 terms. One
+# index needs no cap, as automaton.sum_direct is linear in its bit length.
 DEFAULT_ORACLE_BOUND = 1 << 24
 
 

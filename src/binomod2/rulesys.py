@@ -14,7 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import NegativeValue, ParseError, UncoveredIndex
+from .errors import BoundExceeded, NegativeValue, ParseError, UncoveredIndex
+from .parity_core import DEFAULT_ORACLE_BOUND
 
 Term = tuple[int, int, int]  # (coeff, child_scale, child_offset)
 
@@ -139,9 +140,13 @@ class RuleSystem:
 
         Every child index is at most its parent, and equal only at q = 0,
         where __init__ demands a base value; so each child is already filled.
+        Raises BoundExceeded, before allocating, past DEFAULT_ORACLE_BOUND + 1
+        terms, the cap of batch.row_sums.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
+        if count > DEFAULT_ORACLE_BOUND + 1:
+            raise BoundExceeded(f"{count} terms exceed the prefix cap of {DEFAULT_ORACLE_BOUND + 1}")
         table, mask, base = self._table, self._mask, self.base_values
         vals = [0] * count
         for i in range(count):

@@ -1,11 +1,11 @@
 """Identity proofs and checks, triple-equivalence certification, and
 exact derivation of residue rule systems.
 
-Identity statements are claims of the form F(p*n+q, p2*k+q2) = 0 or
-= F(u*n+v, u2*k+v2). When each side uses one multiplier for n and k, the
-carry automaton (automaton.py) decides the claim for every n, k >= 0;
-otherwise, and for a refuted claim, it is checked on all 0 <= n, k <= bound,
-which yields the minimal counterexample. The checked-in corpus file
+Identity statements are claims of the form F(p*n+q, p*k+q2) = 0 or
+= F(u*n+v, u*k+v2), each side with one multiplier for n and k. The carry
+automaton (automaton.py) decides such a claim for every n, k >= 0 and names
+its least counterexample, which settles the verdict at any bound; a side
+with different multipliers of n and k is refused. The checked-in corpus file
 enumerates such statements with expected outcomes; entries whose printed
 source form is wrong are stored twice (printed form expect=fail, corrected
 form expect=pass) so the suite documents the errata.
@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
-
-import numpy as np
 
 from . import automaton, batch
 from .errors import BoundExceeded, ParseError
@@ -28,7 +26,7 @@ from .registry import RegistryEntry
 from .rulesys import ResidueRule, RuleSystem
 from .transform import mu, rlt_by_runs
 
-Affine = tuple[int, int, int, int]  # (p, q, p2, q2) meaning (p*n+q, p2*k+q2)
+Affine = tuple[int, int, int, int]  # (p, q, p2, q2) meaning (p*n+q, p2*k+q2); p2 == p
 
 DOMAIN_ALL = "all"
 DOMAIN_K_GT_N = "k>n"
@@ -57,6 +55,11 @@ class IdentityStatement:
         if self.rhs is not None:
             _check_affine(self.rhs[:2], "rhs n side")
             _check_affine(self.rhs[2:], "rhs k side")
+        for side, affine in (("lhs", self.lhs), ("rhs", self.rhs)):
+            if affine is not None and affine[0] != affine[2]:
+                raise ValueError(
+                    f"{side}: n multiplier {affine[0]} differs from k multiplier {affine[2]}"
+                )
         if self.domain not in (DOMAIN_ALL, DOMAIN_K_GT_N):
             raise ValueError(f"unknown domain {self.domain!r}")
 
@@ -175,36 +178,27 @@ def load_corpus(text: str | None = None) -> list[CorpusStatement]:
     return out
 
 
-def _prove(stmt: IdentityStatement) -> bool:
-    """True when the carry automaton shows the statement for every n, k >= 0.
-
-    False means refuted or undecided: a side with different multipliers of n
-    and k, or a search past automaton.STATE_CAP pairs.
-    """
-    sides = [stmt.lhs] if stmt.rhs is None else [stmt.lhs, stmt.rhs]
-    if any(p != p2 for p, _, p2, _ in sides):
-        return False
+def _first_counterexample(stmt: IdentityStatement) -> tuple[int, int] | None:
+    """The least (n, k) on which the statement fails, or None when it holds for every n, k."""
     if stmt.domain == DOMAIN_K_GT_N:
-        return True  # k > n gives p*k+q2 > p*n+q on both sides, where F = 0
+        return None  # k > n gives p*k+q2 > p*n+q on both sides, where F = 0
     c = stmt.coefficients
+    sides = [stmt.lhs] if stmt.rhs is None else [stmt.lhs, stmt.rhs]
     # a side F(p*n+q, p*k+q2) is the state after the low bits (q, q2)
     states = [automaton.prefix_state(c, p.bit_length() - 1, q, q2) for p, q, _, q2 in sides]
     if stmt.rhs is None:
         states.append(None)  # F = 0 is the failure state, which accepts nothing
-    try:
-        return automaton.same_language(c, *states)
-    except BoundExceeded:
-        return False
+    return automaton.first_difference(c, *states)
 
 
 def check_identity(stmt: IdentityStatement, bound: int) -> VerificationReport:
-    """Verdict on all 0 <= n, k <= bound, proved for every n, k where possible.
+    """Verdict on all 0 <= n, k <= bound, from the carry automaton.
 
-    A statement the carry automaton proves passes at any bound, with
-    proved=True and no grid. Any other statement is checked cell by cell on
-    the vectorized grid, which reports the lexicographically minimal
-    counterexample within the bound; a grid of more than DEFAULT_ORACLE_BOUND
-    cells raises BoundExceeded.
+    The automaton's least counterexample (by n, then k) decides every bound
+    at once: the statement passes when there is none or it lies past the
+    bound, and proved=True when there is none. No grid is built, so any
+    bound costs the same. Raises BoundExceeded when the search passes
+    automaton.STATE_CAP state pairs.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -212,32 +206,15 @@ def check_identity(stmt: IdentityStatement, bound: int) -> VerificationReport:
         checked = (bound + 1) * bound // 2
     else:
         checked = (bound + 1) ** 2
-    if _prove(stmt):
-        return VerificationReport(
-            label=stmt.text(),
-            bound=bound,
-            passed=True,
-            counterexample=None,
-            checked_count=checked,
-            proved=True,
-        )
-    if (bound + 1) ** 2 > DEFAULT_ORACLE_BOUND:
-        raise BoundExceeded(f"grid at bound {bound} exceeds {DEFAULT_ORACLE_BOUND} cells")
-    c = stmt.coefficients
-    lhs = batch.f_affine_grid(c, stmt.lhs, bound)
-    rhs = np.zeros_like(lhs) if stmt.rhs is None else batch.f_affine_grid(c, stmt.rhs, bound)
-    diff = lhs != rhs
-    if stmt.domain == DOMAIN_K_GT_N:
-        idx = np.arange(bound + 1)
-        diff &= idx[None, :] > idx[:, None]
-    bad = np.argwhere(diff)
-    cx = tuple(int(v) for v in bad[0]) if len(bad) else None
+    cx = _first_counterexample(stmt)
+    within = cx is not None and cx[0] <= bound  # k <= n at any counterexample
     return VerificationReport(
         label=stmt.text(),
         bound=bound,
-        passed=cx is None,
-        counterexample=cx,
+        passed=not within,
+        counterexample=cx if within else None,
         checked_count=checked,
+        proved=cx is None,
     )
 
 
@@ -247,22 +224,10 @@ def check_lemma_corpus(
     """One report per corpus statement, expected outcomes attached."""
     if corpus is None:
         corpus = load_corpus()
-    reports = []
-    for cs in corpus:
-        r = check_identity(cs.statement, bound)
-        reports.append(
-            VerificationReport(
-                label=r.label,
-                bound=bound,
-                passed=r.passed,
-                counterexample=r.counterexample,
-                checked_count=r.checked_count,
-                expected=cs.expect,
-                ref=cs.ref,
-                proved=r.proved,
-            )
-        )
-    return reports
+    return [
+        replace(check_identity(cs.statement, bound), expected=cs.expect, ref=cs.ref)
+        for cs in corpus
+    ]
 
 
 def check_triple_equivalence(

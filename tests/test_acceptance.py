@@ -139,7 +139,7 @@ def _oracle_parity_grid(bound: int) -> np.ndarray:
 
 def test_criterion_5_parity_kernel_against_oracles():
     # full grid against the XOR-row oracle
-    grid = batch.f_grid((1, 0, 0, 1), 4096)
+    grid = batch.f_affine_grid((1, 0, 0, 1), (1, 0, 1, 0), 4096)
     grid_ok = np.array_equal(grid, _oracle_parity_grid(4096))
     # the scalar kernel on a dense small square plus random large samples
     scalar_ok = all(

@@ -10,8 +10,8 @@ from binomod2.automaton import (
     START,
     STATE_CAP,
     accepts,
+    first_difference,
     prefix_state,
-    same_language,
     sum_direct,
 )
 from binomod2.errors import BoundExceeded
@@ -68,11 +68,43 @@ def test_state_cap_bounds_sum_direct():
         batch.row_sums(wider, 511)
 
 
-def test_same_language():
-    assert same_language(FIB, prefix_state(FIB, 1, 0, 0), START)  # F(2n, 2k) = F(n, k)
-    assert same_language(FIB, prefix_state(FIB, 2, 3, 1), START)  # F(4n+3, 4k+1) = F(n, k)
-    assert not same_language(FIB, prefix_state(FIB, 2, 1, 1), START)
-    assert not same_language(FIB, START, None)  # F(0, 0) = 1
-    assert same_language(FIB, prefix_state(FIB, 1, 0, 1), None)  # odd k, even n
+def test_first_difference():
+    assert first_difference(FIB, prefix_state(FIB, 1, 0, 0), START) is None  # F(2n, 2k) = F(n, k)
+    assert first_difference(FIB, prefix_state(FIB, 2, 3, 1), START) is None  # F(4n+3, 4k+1) = F(n, k)
+    assert first_difference(FIB, prefix_state(FIB, 2, 1, 1), START) == (0, 0)
+    assert first_difference(FIB, START, None) == (0, 0)  # F(0, 0) = 1
+    assert first_difference(FIB, prefix_state(FIB, 1, 0, 1), None) is None  # odd k, even n
     with pytest.raises(BoundExceeded, match="state pairs"):
-        same_language(WIDE, prefix_state(WIDE, 1, 0, 0), START)
+        first_difference(WIDE, prefix_state(WIDE, 1, 0, 0), START)
+
+
+SIDES = st.sampled_from((1, 2, 4, 8)).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(0, p - 1), st.integers(0, p - 1))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.integers(-3, 3)] * 4), SIDES, SIDES | st.none())
+def test_first_difference_is_the_least_disagreement(c, lhs, rhs):
+    """Against f_ref: the result disagrees, and nothing smaller does."""
+
+    def side(affine, n, k):
+        if affine is None:
+            return 0
+        p, q, q2 = affine
+        return f_ref(c, p * n + q, p * k + q2)
+
+    def disagree(n, k):
+        return side(lhs, n, k) != side(rhs, n, k)
+
+    def state(affine):
+        return None if affine is None else prefix_state(c, affine[0].bit_length() - 1, *affine[1:])
+
+    cx = first_difference(c, state(lhs), state(rhs))
+    if cx is None:
+        assert not any(disagree(n, k) for n in range(41) for k in range(41))
+        return
+    assert disagree(*cx)
+    if cx[0] <= 40:
+        smaller = [(n, k) for n in range(cx[0] + 1) for k in range(41) if (n, k) < cx]
+        assert not any(disagree(n, k) for n, k in smaller)

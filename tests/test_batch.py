@@ -17,7 +17,7 @@ VECTORS = [e.coefficients for e in builtin_entries()] + [(0, 2, 1, -1), (1, 2, 1
 def test_f_grid_equals_scalar():
     bound = 48
     for c in VECTORS:
-        grid = batch.f_grid(c, bound)
+        grid = batch.f_affine_grid(c, (1, 0, 1, 0), bound)
         for n in range(bound + 1):
             for k in range(bound + 1):
                 assert grid[n, k] == f_value(c, n, k), (c, n, k)
@@ -77,6 +77,6 @@ def test_parity_triangle_rows_match_oracle():
 
 
 def test_grid_dtype_and_shape():
-    g = batch.f_grid((1, 0, 0, 1), 10)
+    g = batch.f_affine_grid((1, 0, 0, 1), (1, 0, 1, 0), 10)
     assert g.shape == (11, 11) and g.dtype == np.int64
     assert g[0, 0] == 1 and g[0, 1] == 0

@@ -103,6 +103,14 @@ class TestSeq:
         assert code == 2
         assert "error:" in err
 
+    def test_entry_and_coeffs_are_exclusive(self, capsys):
+        # with both, rules would print the entry and oracle the vector's sums
+        with pytest.raises(SystemExit) as exc:
+            main(["seq", "--entry", "fib", "--coeffs", "1,0,0,1", "--method", "rules"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not allowed with" in err
+
 
 class TestRlt:
     def test_file_base_with_comments(self, capsys, tmp_path):
@@ -251,11 +259,22 @@ class TestBadInput:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_oversized_grid_is_refused(self, capsys):
-        # the corpus's refuted lines fall back to a (bound+1)^2 grid
+    def test_large_corpus_bound_builds_no_grid(self, capsys):
+        # the automaton names each refuted line's least counterexample
         code, out, err = run(capsys, "verify", "--corpus", "--bound", "5000")
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "Traceback" not in err
+        assert code == 0 and err == ""
+        assert out.endswith("corpus: 431 pass, 7 fail, 0 unexpected (bound 5000)\n")
+
+    def test_huge_rules_prefix_is_refused(self, capsys, tmp_path):
+        huge = "1000000000000"
+        for argv in (
+            ("seq", "--entry", "fib", "--method", "rules", "--count", huge),
+            ("oeis", "compare", "--id", "A246028", "--entry", "fib", "--count", huge,
+             "--offline", "--cache-dir", str(tmp_path)),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ("triangle", "--rows", "-2", "--format", "pbm"),

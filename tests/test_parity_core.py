@@ -79,7 +79,7 @@ def test_f_value_examples():
 def test_negative_top_is_a_zero_binomial():
     # top = 3 - 2*2 = -1: C(-1, 2) counts as zero in the scalar and grid kernels
     assert f_value((1, -2, 0, 1), 3, 2) == 0
-    assert batch.f_grid((1, -2, 0, 1), 3)[3, 2] == 0
+    assert batch.f_affine_grid((1, -2, 0, 1), (1, 0, 1, 0), 3)[3, 2] == 0
 
 
 def test_f_value_zero_beyond_row():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomod2.errors import NegativeValue, ParseError, UncoveredIndex
+from binomod2.errors import BoundExceeded, NegativeValue, ParseError, UncoveredIndex
+from binomod2.parity_core import DEFAULT_ORACLE_BOUND
 from binomod2.registry import builtin_entries, lookup
 from binomod2.rulesys import ResidueRule, RuleSystem, format_system, parse_system
 from binomod2.transform import rlt_by_runs
@@ -114,6 +115,8 @@ class TestEvaluation:
     def test_first_terms_count_validated(self):
         with pytest.raises(ValueError):
             lookup("fib").rules.first_terms(0)
+        with pytest.raises(BoundExceeded, match="prefix cap"):  # before allocating
+            lookup("fib").rules.first_terms(DEFAULT_ORACLE_BOUND + 2)
 
     def test_thousand_bit_index(self):
         entry = lookup("fib")

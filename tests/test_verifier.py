@@ -48,8 +48,8 @@ def _grid_verdict(stmt, bound):
 @st.composite
 def _statements(draw):
     def side():
-        p, p2 = (draw(st.sampled_from((1, 2, 4, 8))) for _ in range(2))
-        return p, draw(st.integers(0, p - 1)), p2, draw(st.integers(0, p2 - 1))
+        p = draw(st.sampled_from((1, 2, 4, 8)))
+        return p, draw(st.integers(0, p - 1)), p, draw(st.integers(0, p - 1))
 
     c = draw(st.tuples(*[st.integers(-3, 3)] * 4))
     lhs = side()
@@ -101,6 +101,10 @@ class TestStatementGrammar:
             IdentityStatement(FIB, (2, 2, 1, 0))
         with pytest.raises(ValueError, match="domain"):
             IdentityStatement(FIB, (1, 0, 1, 0), None, "n>k")
+        with pytest.raises(ValueError, match="differs"):
+            IdentityStatement(FIB, (1, 0, 1, 0), (2, 1, 1, 0))
+        with pytest.raises(ParseError, match="differs"):
+            parse_statement_line("F(2n+1,k) = 0 @ coeffs=1,1,1,-1")
 
 
 class TestCheckIdentity:
@@ -161,21 +165,30 @@ class TestCheckIdentity:
                 cx is None, cx, len(cells)
             ), stmt.text()
 
-    def test_proof_and_grid_fallback(self):
+    def test_proof_and_refusals(self):
         true = IdentityStatement(FIB, (4, 3, 4, 1), (1, 0, 1, 0))
         assert check_identity(true, 0).proved and check_identity(true, 1 << 40).passed
         refuted = IdentityStatement(FIB, (4, 1, 4, 1), (1, 0, 1, 0))
         assert not check_identity(refuted, 16).proved
-        with pytest.raises(BoundExceeded, match="cells"):  # 4097^2 > 2^24, before any grid
-            check_identity(refuted, 4096)
-        # different multipliers of n and k: the grid decides
-        uneven = IdentityStatement(POSINT, (2, 1, 1, 0), None)
-        r = check_identity(uneven, 24)
-        assert not r.proved and (r.passed, r.counterexample) == _grid_verdict(uneven, 24)
+        # no grid is built, so no bound is too large for the least counterexample
+        r = check_identity(refuted, 4096)
+        assert (r.passed, r.counterexample, r.proved) == (False, (0, 0), False)
+        # different multipliers of n and k: the automaton cannot read them
+        with pytest.raises(ValueError, match="multiplier"):
+            IdentityStatement(POSINT, (2, 1, 1, 0), None)
         # a true statement whose search passes automaton.STATE_CAP pairs
         wide = IdentityStatement((1 << 40, 0, 0, 0), (2, 0, 2, 0), (1, 0, 1, 0))
-        r = check_identity(wide, 16)
-        assert r.passed and not r.proved
+        with pytest.raises(BoundExceeded, match="state pairs"):
+            check_identity(wide, 16)
+
+    def test_counterexample_past_the_bound_passes(self):
+        stmt = IdentityStatement((-1, 2, 2, -3), (4, 0, 4, 3), (2, 1, 2, 1))
+        cx = _grid_verdict(stmt, 8)[1]
+        assert cx == (7, 4)
+        r = check_identity(stmt, cx[0] - 1)
+        assert (r.passed, r.counterexample, r.proved) == (True, None, False)
+        r = check_identity(stmt, cx[0])
+        assert (r.passed, r.counterexample, r.proved) == (False, cx, False)
 
     @settings(max_examples=300, deadline=None)
     @given(_statements())
@@ -201,8 +214,9 @@ class TestCorpus:
 
     def test_every_line_agrees_with_the_grid(self):
         for cs in load_corpus():
-            r = check_identity(cs.statement, 64)
-            assert (r.passed, r.counterexample) == _grid_verdict(cs.statement, 64), r.label
+            for bound in (0, 1, 5, 64):
+                r = check_identity(cs.statement, bound)
+                assert (r.passed, r.counterexample) == _grid_verdict(cs.statement, bound), r.label
 
     def test_pass_lines_are_proved(self):
         reports = check_lemma_corpus(256)
