@@ -16,6 +16,7 @@ from .transform import (
     recurrence_rule_system,
     rlt_by_recurrence,
     rlt_by_runs,
+    rlt_prefix,
     runs_of_ones,
 )
 from .verifier import (
@@ -40,6 +41,7 @@ __all__ = [
     "mu",
     "LinearRecurrence",
     "rlt_by_runs",
+    "rlt_prefix",
     "rlt_by_recurrence",
     "recurrence_rule_system",
     "ResidueRule",

@@ -28,7 +28,7 @@ from .oeis_client import compare, fetch_bfile
 from .parity_core import binom_parity, f_value
 from .registry import builtin_entries, lookup, lookup_by_coefficients
 from .rulesys import format_system
-from .transform import mu, rlt_by_runs
+from .transform import mu, rlt_by_runs, rlt_prefix
 from .verifier import check_lemma_corpus, check_triple_equivalence, conjecture_rules
 
 USAGE_ERRORS = (
@@ -93,7 +93,7 @@ def _seq_values(args, entry, coeffs, count: int) -> list[int]:
         return [int(v) for v in batch.row_sums(coeffs, count - 1)]
     if args.method == "rules":
         return entry.rules.first_terms(count)
-    return [rlt_by_runs(entry.base, n) for n in range(count)]
+    return rlt_prefix(entry.base, count)
 
 
 def cmd_seq(args) -> int:
@@ -134,7 +134,8 @@ def cmd_rlt(args) -> int:
         base = terms
     else:
         base = lookup(args.base).base
-    sys.stdout.writelines(f"{n} {rlt_by_runs(base, n)}\n" for n in range(args.count))
+    values = rlt_prefix(base, args.count)
+    sys.stdout.writelines(f"{n} {v}\n" for n, v in enumerate(values))
     return 0
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 Coeffs = tuple[int, int, int, int]
 
-# Caps the length of a computed prefix: batch.row_sums and
-# RuleSystem.first_terms hold at most DEFAULT_ORACLE_BOUND + 1 terms. One
-# index needs no cap, as automaton.sum_direct is linear in its bit length.
+# Caps the length of a computed prefix: batch.row_sums,
+# RuleSystem.first_terms and transform.rlt_prefix hold at most
+# DEFAULT_ORACLE_BOUND + 1 terms. One index needs no cap, as
+# automaton.sum_direct is linear in its bit length.
 DEFAULT_ORACLE_BOUND = 1 << 24
 
 

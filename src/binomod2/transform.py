@@ -2,9 +2,10 @@
 
 The transform maps a base sequence S (with S(0) = 1) to T, where T(n) is the
 product of S(l) over the lengths l of maximal 1-bit runs of n, and T(0) = 1.
-For bases given by a linear recurrence there is an equivalent residue rule
-system; recurrence_rule_system builds it and rlt_by_recurrence evaluates
-through it, which scales to indices with thousands of bits.
+rlt_prefix fills a prefix of T with one multiply per term. For bases given
+by a linear recurrence there is an equivalent residue rule system;
+recurrence_rule_system builds it and rlt_by_recurrence evaluates through it,
+which scales to indices with thousands of bits.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .errors import ExhaustedBase, MalformedRecurrence, NotSplittable
+from .errors import BoundExceeded, ExhaustedBase, MalformedRecurrence, NotSplittable
+from .parity_core import DEFAULT_ORACLE_BOUND
 from .rulesys import ResidueRule, RuleSystem
 
 
@@ -55,19 +57,23 @@ class LinearRecurrence:
             raise MalformedRecurrence("initial and feedback must be equal nonempty lengths")
         if self.initial[0] != 1:
             raise MalformedRecurrence("S(0) must be 1")
-        object.__setattr__(self, "_terms", list(self.initial))
 
     @property
     def order(self) -> int:
         return len(self.initial)
 
+    def terms(self, count: int) -> list[int]:
+        """[S(0), ..., S(count-1)], computed afresh: registry bases are shared
+        by the whole process, so they keep no cache that grows."""
+        terms = list(self.initial[:count])
+        while len(terms) < count:
+            terms.append(sum(d * terms[-1 - i] for i, d in enumerate(self.feedback)))
+        return terms
+
     def term(self, l: int) -> int:
         if l < 0:
             raise ValueError("term index must be nonnegative")
-        terms: list[int] = self._terms  # type: ignore[attr-defined]
-        while len(terms) <= l:
-            terms.append(sum(d * terms[-1 - i] for i, d in enumerate(self.feedback)))
-        return terms[l]
+        return self.terms(l + 1)[l]
 
 
 BaseSequence = Union[LinearRecurrence, Sequence[int]]
@@ -83,12 +89,42 @@ def base_term(S: BaseSequence, l: int) -> int:
 
 def rlt_by_runs(S: BaseSequence, n: int) -> int:
     """T(n) = product of S(l) over the 1-run lengths of n; T(0) = 1."""
+    runs = runs_of_ones(n)
+    if isinstance(S, LinearRecurrence):  # the terms this call reads, and no more
+        S = S.terms(max(runs, default=0) + 1)
     if base_term(S, 0) != 1:
         raise MalformedRecurrence("S(0) must be 1")
     value = 1
-    for l in runs_of_ones(n):
+    for l in runs:
         value *= base_term(S, l)
     return value
+
+
+def rlt_prefix(S: BaseSequence, count: int) -> list[int]:
+    """[T(0), ..., T(count-1)] with one multiply per term.
+
+    Peeling off the lowest run gives T(2m) = T(m) and
+    T(2^(l+1) m + 2^l - 1) = S(l) T(m). No n < count has a run longer than
+    bit_length(count) - 1, so only those base terms are read. Raises
+    BoundExceeded, before allocating, past DEFAULT_ORACLE_BOUND + 1 terms.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if count > DEFAULT_ORACLE_BOUND + 1:
+        raise BoundExceeded(f"{count} terms exceed the prefix cap of {DEFAULT_ORACLE_BOUND + 1}")
+    if isinstance(S, LinearRecurrence):  # the terms this call reads, and no more
+        S = S.terms(count.bit_length())
+    if base_term(S, 0) != 1:
+        raise MalformedRecurrence("S(0) must be 1")
+    s = [base_term(S, l) for l in range(count.bit_length())]
+    vals = [1] * count
+    for n in range(1, count):
+        if n & 1:
+            l = (n ^ (n + 1)).bit_length() - 1  # trailing ones of n
+            vals[n] = s[l] * vals[n >> (l + 1)]
+        else:
+            vals[n] = vals[n >> 1]
+    return vals
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,7 @@ from .errors import BoundExceeded, ParseError
 from .parity_core import DEFAULT_ORACLE_BOUND, Coeffs
 from .registry import RegistryEntry
 from .rulesys import ResidueRule, RuleSystem
-from .transform import mu, rlt_by_runs
+from .transform import mu, rlt_prefix
 
 Affine = tuple[int, int, int, int]  # (p, q, p2, q2) meaning (p*n+q, p2*k+q2); p2 == p
 
@@ -241,18 +241,17 @@ def check_triple_equivalence(
     against the entry's rules and base).
     """
     c = entry.coefficients if coefficients is None else coefficients
-    sums = batch.row_sums(c, bound)
+    sums = batch.row_sums(c, bound).tolist()
     rules_vals = entry.rules.first_terms(bound + 1)
-    runs_vals = [rlt_by_runs(entry.base, n) for n in range(bound + 1)]
+    runs_vals = rlt_prefix(entry.base, bound + 1)
     cx = None
     detail = ""
-    for n in range(bound + 1):
-        if not int(sums[n]) == rules_vals[n] == runs_vals[n]:
-            cx = (n,)
-            detail = (
-                f"sum={int(sums[n])} rules={rules_vals[n]} runs={runs_vals[n]} at n={n}"
-            )
-            break
+    if not sums == rules_vals == runs_vals:
+        n = next(
+            n for n, (s, r, t) in enumerate(zip(sums, rules_vals, runs_vals)) if not s == r == t
+        )
+        cx = (n,)
+        detail = f"sum={sums[n]} rules={rules_vals[n]} runs={runs_vals[n]} at n={n}"
     return VerificationReport(
         label=f"triple-equivalence {entry.name} coeffs={c}",
         bound=bound,

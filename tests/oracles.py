@@ -43,6 +43,14 @@ def runs_ref(n):
     return [len(block) for block in reversed(bin(n)[2:].split("0")) if block]
 
 
+def recurrence_ref(initial, feedback, length):
+    """S(0..length-1) of S(l+1) = sum feedback[i]*S(l-i), written out term by term."""
+    vals = list(initial)
+    for l in range(len(initial) - 1, length - 1):
+        vals.append(sum(feedback[i] * vals[l - i] for i in range(len(feedback))))
+    return vals[:length]
+
+
 def rlt_ref(base_values, n):
     out = 1
     for length in runs_ref(n):

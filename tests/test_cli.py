@@ -140,8 +140,8 @@ class TestRlt:
     def test_short_base_exhausts(self, capsys, tmp_path):
         f = tmp_path / "short.txt"
         f.write_text("1\n1\n")
-        code, _, err = run(capsys, "rlt", "--base", str(f), "--count", "16")
-        assert code == 2 and "error:" in err
+        code, out, err = run(capsys, "rlt", "--base", str(f), "--count", "16")
+        assert code == 2 and out == "" and "error:" in err
 
 
 class TestVerify:
@@ -271,6 +271,17 @@ class TestBadInput:
             ("seq", "--entry", "fib", "--method", "rules", "--count", huge),
             ("oeis", "compare", "--id", "A246028", "--entry", "fib", "--count", huge,
              "--offline", "--cache-dir", str(tmp_path)),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error:") and "Traceback" not in err
+
+    def test_huge_rlt_prefix_is_refused(self, capsys):
+        # one past the 2^24 + 1 terms that the rules and oracle prefixes allow
+        count = str((1 << 24) + 2)
+        for argv in (
+            ("seq", "--entry", "fib", "--method", "rlt", "--count", count),
+            ("rlt", "--base", "fib", "--count", count),
         ):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "", argv

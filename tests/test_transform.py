@@ -1,13 +1,16 @@
 """Run decomposition, the splitting function, and both RLT routes."""
 
+import copy
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binomod2.errors import ExhaustedBase, MalformedRecurrence, NotSplittable
-from binomod2.registry import builtin_entries
+from binomod2.errors import BoundExceeded, ExhaustedBase, MalformedRecurrence, NotSplittable
+from binomod2.parity_core import DEFAULT_ORACLE_BOUND
+from binomod2.registry import builtin_entries, lookup
 from binomod2.transform import (
     LinearRecurrence,
     base_term,
@@ -15,10 +18,11 @@ from binomod2.transform import (
     recurrence_rule_system,
     rlt_by_recurrence,
     rlt_by_runs,
+    rlt_prefix,
     runs_of_ones,
 )
 
-from .oracles import rlt_ref, runs_ref
+from .oracles import recurrence_ref, rlt_ref, runs_ref
 
 FIB = LinearRecurrence(initial=[1, 1], feedback=[1, 1])
 
@@ -166,3 +170,65 @@ def test_recurrence_template_matches_reference_products():
     fib_vals = [FIB.term(i) for i in range(16)]
     for n in range(1024):
         assert sys.eval(n) == rlt_ref(fib_vals, n)
+
+
+def test_runs_leave_the_registry_base_unchanged():
+    # registry bases live for the whole process, so evaluation may not grow them
+    base = lookup("fib").base
+    before = copy.deepcopy(vars(base))
+    rlt_by_runs(base, (1 << 5000) - 1)
+    assert vars(base) == before
+
+
+_prefix_counts = st.one_of(
+    st.integers(1, 600),
+    st.builds(lambda j, d: (1 << j) + d, st.integers(0, 11), st.sampled_from([-1, 0, 1])),
+).filter(lambda c: c >= 1)
+
+
+@st.composite
+def _bases(draw):
+    """(base, its values S(0..11) from the reference): a recurrence or a plain list."""
+    if draw(st.booleans()):
+        registry = st.sampled_from([e.base for e in builtin_entries()])
+        rec = draw(st.one_of(small_recurrences(), registry))
+        return rec, recurrence_ref(rec.initial, rec.feedback, 12)
+    values = [1] + draw(st.lists(st.integers(0, 9), min_size=11, max_size=16))
+    return values, values
+
+
+@given(_bases(), _prefix_counts)
+def test_rlt_prefix_matches_reference(base_and_values, count):
+    base, values = base_and_values
+    assert rlt_prefix(base, count) == [rlt_ref(values, n) for n in range(count)]
+
+
+@pytest.mark.parametrize("length", range(5))
+def test_rlt_prefix_exhausts_like_runs(length):
+    base = [1] * length
+    count = 1 << length  # 2^length - 1 is the first index with a run past the base
+    if length:
+        assert rlt_prefix(base, count - 1) == [1] * (count - 1)
+    with pytest.raises(ExhaustedBase) as by_runs:
+        for n in range(count):
+            rlt_by_runs(base, n)
+    with pytest.raises(ExhaustedBase) as by_prefix:
+        rlt_prefix(base, count)
+    assert str(by_prefix.value) == str(by_runs.value)
+
+
+def test_rlt_prefix_refusals():
+    for bad in ([2, 1, 1], [0]):
+        with pytest.raises(MalformedRecurrence):
+            rlt_prefix(bad, 4)
+    with pytest.raises(ValueError):
+        rlt_prefix(FIB, 0)
+    tracemalloc.start()
+    try:
+        for base in (FIB, [1] * 30):
+            with pytest.raises(BoundExceeded):
+                rlt_prefix(base, DEFAULT_ORACLE_BOUND + 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # refused before the 2^24-term list is allocated
