@@ -4,9 +4,10 @@ A RuleSystem bundles base values (at minimum a(0)) with rules keyed by
 (modulus exponent, residue). Matching prefers the longest modulus, so the
 universal even rule a(2n) = a(n) coexists with finer odd-residue rules.
 A residue table of length 2^M (M the longest modulus exponent) maps
-n mod 2^M to its rule. Evaluation is iterative, and the values it meets
-live for one call only; every rule strictly decreases the index, so cost
-is polynomial in bit length even for 1000-bit arguments.
+n mod 2^M to its rule. Evaluation pushes weights down from n to the base
+values and holds only the few indices still pending; every rule strictly
+decreases the index, so cost is polynomial in bit length even for
+1000-bit arguments.
 """
 
 from __future__ import annotations
@@ -102,38 +103,38 @@ class RuleSystem:
         return self.rules == other.rules and self.base_values == other.base_values
 
     def eval(self, n: int) -> int:
-        """a(n); the values met along the way are kept for this call only."""
+        """a(n), holding only the indices still pending.
+
+        a(n) is kept as a weighted sum of a(i) over pending indices i. The
+        largest one is replaced by its rule's children, or paid out at its
+        base value. Children lie below their parent, so every parent has
+        added to an index's weight before it is expanded, and the pending
+        indices all lie within M bits of the largest: a call holds a few
+        indices however long n is. No value between n and the base values
+        is formed, so NegativeValue refers to a(n) only.
+        """
         if n < 0:
             raise ValueError("index must be nonnegative")
-        table, mask = self._table, self._mask
-        memo = dict(self.base_values)
-        stack = [n]
-        while stack:
-            cur = stack[-1]
-            if cur in memo:
-                stack.pop()
+        table, mask, base = self._table, self._mask, self.base_values
+        weight = {n: 1}
+        value = 0
+        while weight:
+            cur = max(weight)
+            w = weight.pop(cur)
+            v = base.get(cur)
+            if v is not None:
+                value += w * v
                 continue
             rule = table[cur & mask]
             if rule is None:
                 raise UncoveredIndex(f"no rule matches index {cur}")
             q = cur >> rule.modulus_exp
-            value = 0
-            pending = False
             for coeff, scale, offset in rule.terms:
                 child = scale * q + offset
-                v = memo.get(child)
-                if v is None:
-                    stack.append(child)
-                    pending = True
-                else:
-                    value += coeff * v
-            if pending:
-                continue
-            if value < 0:
-                raise NegativeValue(f"a({cur}) = {value} < 0")
-            memo[cur] = value
-            stack.pop()
-        return memo[n]
+                weight[child] = weight.get(child, 0) + coeff * w
+        if value < 0 and n not in base:  # base values are taken as given, as in first_terms
+            raise NegativeValue(f"a({n}) = {value} < 0")
+        return value
 
     def first_terms(self, count: int) -> list[int]:
         """[a(0), ..., a(count-1)], filled bottom-up.

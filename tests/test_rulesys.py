@@ -2,6 +2,7 @@
 
 import copy
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -80,8 +81,13 @@ class TestRuleSystem:
     def test_negative_value_raises(self):
         neg = ResidueRule(1, 1, ((1, 1, 0), (-2, 1, 0)))
         sys = RuleSystem([EVEN, neg], {0: 1})
-        with pytest.raises(NegativeValue):
+        with pytest.raises(NegativeValue, match="a\\(1\\)"):
             sys.eval(1)
+        # eval forms no value between n and the base values, so only a(n) is
+        # checked: a(3) = -a(1) = 1, while the prefix meets a(1) = -1
+        assert sys.eval(3) == 1
+        with pytest.raises(NegativeValue, match="a\\(1\\)"):
+            sys.first_terms(4)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
@@ -124,6 +130,19 @@ class TestEvaluation:
         expected = rlt_by_runs(entry.base, n)
         assert entry.rules.eval(n) == expected
 
+    def test_eval_memory_does_not_grow_with_the_index(self):
+        # a few KB at any bit length; keeping every index met would take ~1 MB
+        rng = random.Random(4000)
+        for entry in builtin_entries():
+            n = rng.getrandbits(4000) | (1 << 3999)
+            tracemalloc.start()
+            try:
+                entry.rules.eval(n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 15, entry.name
+
     def test_eval_leaves_the_instance_unchanged(self):
         # registry systems live for the whole process, so eval may not grow them
         rules = lookup("fib").rules
@@ -162,9 +181,11 @@ class TestEvaluation:
         with pytest.raises(UncoveredIndex, match="index 3"):
             sys.eval(3)
 
-    @given(st.integers(0, 1 << 12))
-    def test_rules_match_runs_route(self, n):
-        entry = lookup("narayana")
+    @given(
+        st.sampled_from(builtin_entries()),
+        st.one_of(st.integers(0, 1 << 12), st.integers(0, (1 << 1500) - 1)),
+    )
+    def test_rules_match_runs_route(self, entry, n):
         assert entry.rules.eval(n) == rlt_by_runs(entry.base, n)
 
 
