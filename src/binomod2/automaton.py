@@ -19,8 +19,6 @@ product for one n; batch.row_sums builds it for a whole prefix.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import BoundExceeded
 from .parity_core import Coeffs
 
@@ -31,7 +29,7 @@ START: State = (0, 0)
 # Most states (or state pairs) one search may visit, and most states live at
 # once in sum_direct. The registry's vectors need at most 8 states and any
 # vector in [-3, 4]^4 at most 26; huge coefficients can need millions. M0 and
-# M1 are dense d x d arrays.
+# M1 are dense d x d lists.
 STATE_CAP = 256
 
 # fixed points of the zero-bit flush that do not fail; only START accepts
@@ -120,23 +118,23 @@ def reachable(c: Coeffs, depth: int) -> list[State]:
     return states
 
 
-def linear_rep(c: Coeffs, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def linear_rep(c: Coeffs, depth: int) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """(M0, M1, acc) over the states reachable in at most depth steps.
 
-    M[b][s, t] counts the bits of k that lead from s to t on bit b of n, so
+    M[b][s][t] counts the bits of k that lead from s to t on bit b of n, so
     row sums of indices below 2^depth are e0 . M[n_0] ... M[n_(depth-1)] . acc.
     Transitions out of the set are dropped; only a longer word would use them.
     """
     states = reachable(c, depth)
     index = {s: i for i, s in enumerate(states)}
     d = len(states)
-    m = np.zeros((2, d, d), dtype=np.int64)
+    m = [[[0] * d for _ in range(d)] for _ in range(2)]
     for i, s in enumerate(states):
         for n_bit, k_bit in _LETTERS:
             j = index.get(step(c, s, n_bit, k_bit))
             if j is not None:
-                m[n_bit, i, j] += 1
-    acc = np.array([accepts(c, s) for s in states], dtype=np.int64)
+                m[n_bit][i][j] += 1
+    acc = [int(accepts(c, s)) for s in states]
     return m[0], m[1], acc
 
 

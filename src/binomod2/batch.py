@@ -1,15 +1,17 @@
-"""Vectorized twins of the scalar kernels, for grid sweeps and long row sums.
+"""Exact row sums over the carry automaton, plus the F grid the tests sweep.
 
-F grids use the same math as parity_core, expressed over numpy int64
-arrays; the tests sweep identity statements on them, a reference
-independent of the carry automaton. Row sums come from the automaton's
-transfer matrices (automaton.py) instead of from F cell by cell, so a
-prefix of N row sums costs time linear in N. The independent references these are pinned to
-live in tests/oracles.py.
+row_sums fills a prefix of a(n) from the automaton's transfer matrices
+(automaton.py) in Python ints, at a cost linear in the prefix length; the
+independent reference it is pinned to lives in tests/oracles.py.
+f_affine_grid evaluates F over a grid with the same math as parity_core,
+expressed over numpy int64 arrays. Only the tests call it, as a reference
+independent of the automaton, and numpy is imported for it alone.
+parity_triangle_rows packs Pascal's triangle mod 2 row by row.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator
 
 import numpy as np
@@ -46,30 +48,44 @@ def f_affine_grid(c: Coeffs, affine: tuple[int, int, int, int], bound: int) -> n
     return _f_block(c, (p * n + q)[:, None], (p2 * k + q2)[None, :])
 
 
-def row_sums(c: Coeffs, n_max: int) -> np.ndarray:
+def row_sums(c: Coeffs, n_max: int) -> list[int]:
     """sum_direct(c, n) for all 0 <= n <= n_max, by the carry automaton's transfer matrices.
 
-    Split n = h*2^L + lo. Then a(n) = U[lo] . R[h], where the row
-    U[lo] = e0 . M[lo_0] ... M[lo_(L-1)] counts the bits of k per state after
-    the low L bits, and R[h] = M[h_0] ... M[h_(H-1)] . acc counts the accepted
-    continuations of the high part h. Both tables are built by doubling, so
-    d states cost N*d for the product and sqrt(N)*d^2 for the tables.
+    Split n = h*2^L + lo, with bits = n_max.bit_length() and L = min(bits, 12).
+    Lane lo of the packed int u[t] holds U(lo)[t] = (e0 . M[lo_0] ...
+    M[lo_(L-1)])[t], the number of k whose low L bits lead to state t
+    alongside lo; each bit of lo appends the lanes of u . M1 above those of
+    u . M0. R(h) = M[h_0] ... M[h_(H-1)] . acc counts the accepted
+    continuations of the high part h, so lane lo of sum_t R(h)[t] * u[t] is
+    a(h*2^L + lo): one piece of 2^L terms per h, which keeps u small at the
+    cap. A lane counts submasks of an index below 2^bits, so it never exceeds
+    2^bits: 16-bit lanes hold that while bits <= 15, and 32-bit lanes up to
+    the cap, so no lane carries into the next. Raises BoundExceeded past
+    DEFAULT_ORACLE_BOUND.
     """
     if n_max > DEFAULT_ORACLE_BOUND:
         raise BoundExceeded(f"n={n_max} exceeds oracle bound {DEFAULT_ORACLE_BOUND}")
     bits = n_max.bit_length()
+    width = 16 if bits <= 15 else 32
+    low = min(bits, 12)
     m0, m1, acc = automaton.linear_rep(c, bits)
-    low = (bits + 1) // 2
-    u = np.eye(1, len(acc), dtype=np.int64)
-    for _ in range(low):
-        u = np.concatenate((u @ m0, u @ m1))
-    r = acc[None, :]
+    d = len(acc)
+    cols = [[[(s, m[s][t]) for s in range(d) if m[s][t]] for t in range(d)] for m in (m0, m1)]
+    u = [1] + [0] * (d - 1)
+    for j in range(low):
+        u = [
+            sum(x * u[s] for s, x in lo) | sum(x * u[s] for s, x in hi) << (width << j)
+            for lo, hi in zip(*cols)
+        ]
+    r = [acc]
     for _ in range(bits - low):
-        doubled = np.empty((2 * len(r), len(acc)), dtype=np.int64)
-        doubled[0::2] = r @ m0.T
-        doubled[1::2] = r @ m1.T
-        r = doubled
-    return (r[: (n_max >> low) + 1] @ u.T).reshape(-1)[: n_max + 1]
+        r = [[sum(x * y for x, y in zip(row, v)) for row in m] for v in r for m in (m0, m1)]
+    sums: list[int] = []
+    for v in r[: (n_max >> low) + 1]:
+        piece = sum(count * packed for packed, count in zip(u, v) if count)
+        lanes = memoryview(piece.to_bytes(width // 8 << low, sys.byteorder))
+        sums += lanes.cast("H" if width == 16 else "I")[: n_max + 1 - len(sums)].tolist()
+    return sums
 
 
 def parity_triangle_rows(num_rows: int) -> Iterator[int]:

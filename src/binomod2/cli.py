@@ -90,7 +90,7 @@ def cmd_mu(args) -> int:
 
 def _seq_values(args, entry, coeffs, count: int) -> list[int]:
     if args.method == "oracle":
-        return [int(v) for v in batch.row_sums(coeffs, count - 1)]
+        return batch.row_sums(coeffs, count - 1)
     if args.method == "rules":
         return entry.rules.first_terms(count)
     return rlt_prefix(entry.base, count)

@@ -11,7 +11,6 @@ which scales to indices with thousands of bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import BoundExceeded, ExhaustedBase, MalformedRecurrence, NotSplittable
@@ -50,7 +49,7 @@ class LinearRecurrence:
     feedback: tuple[int, ...]
 
     def __post_init__(self):
-        # accept any sequence; tuples keep the dataclass hashable for lru_cache
+        # accept any sequence; tuples keep the frozen record immutable and hashable
         object.__setattr__(self, "initial", tuple(self.initial))
         object.__setattr__(self, "feedback", tuple(self.feedback))
         if len(self.initial) == 0 or len(self.initial) != len(self.feedback):
@@ -127,7 +126,6 @@ def rlt_prefix(S: BaseSequence, count: int) -> list[int]:
     return vals
 
 
-@lru_cache(maxsize=None)
 def recurrence_rule_system(S: LinearRecurrence) -> RuleSystem:
     """Residue rule system equivalent to the transform of a recurrent base.
 
@@ -153,7 +151,11 @@ def recurrence_rule_system(S: LinearRecurrence) -> RuleSystem:
 
 
 def rlt_by_recurrence(S: LinearRecurrence, n: int) -> int:
-    """T(n) computed only through the residue rules derived from S."""
+    """T(n) computed only through the residue rules derived from S.
+
+    The rules are built afresh on each call; to evaluate many indices of one
+    base, build recurrence_rule_system(S) once.
+    """
     if not isinstance(S, LinearRecurrence):
         raise MalformedRecurrence("recurrence evaluation needs a LinearRecurrence base")
     return recurrence_rule_system(S).eval(n)

@@ -241,7 +241,7 @@ def check_triple_equivalence(
     against the entry's rules and base).
     """
     c = entry.coefficients if coefficients is None else coefficients
-    sums = batch.row_sums(c, bound).tolist()
+    sums = batch.row_sums(c, bound)
     rules_vals = entry.rules.first_terms(bound + 1)
     runs_vals = rlt_prefix(entry.base, bound + 1)
     cx = None
@@ -327,10 +327,9 @@ def _deciding_indices(c: Coeffs) -> list[int]:
     BoundExceeded past automaton.STATE_CAP states.
     """
     m0, m1, acc = automaton.linear_rep(c, automaton.STATE_CAP)
-    mats = (m0.tolist(), m1.tolist())  # Python ints: v(q) grows like 2^bitlen(q)
     kept: list[int] = []
     basis: list[tuple[int, list[int]]] = []  # (pivot, reduced vector)
-    todo = [(0, acc.tolist())]
+    todo = [(0, acc)]
     for q, v in todo:
         rest = v
         for p, b in basis:
@@ -342,7 +341,7 @@ def _deciding_indices(c: Coeffs) -> list[int]:
         g = math.gcd(*rest)
         basis.append((pivot, [x // g for x in rest]))
         kept.append(q)
-        for bit, mat in enumerate(mats):
+        for bit, mat in enumerate((m0, m1)):
             todo.append((2 * q + bit, [sum(x * y for x, y in zip(row, v)) for row in mat]))
     return kept
 

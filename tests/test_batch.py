@@ -37,13 +37,12 @@ def test_f_affine_grid_equals_scalar():
 def test_row_sums_equals_scalar():
     for c in VECTORS:
         sums = batch.row_sums(c, 400)
-        for n in range(401):
-            assert int(sums[n]) == sum_direct(c, n), (c, n)
+        assert sums == [sum_direct(c, n) for n in range(401)], c
 
 
 def test_row_sums_match_oracle_around_the_split():
-    # row_sums splits the bits of n into a low and a high half; the split
-    # moves at every power of two
+    # row_sums packs the low min(bits, 12) bits of n into lanes, so the lane
+    # count moves at every power of two, and from 2^12 the prefix comes in pieces
     sizes = sorted({0, 1, 2, 3} | {(1 << j) + d for j in range(1, 13) for d in (-1, 0, 1)})
     for c in ((1, -1, 0, 6), (1, 1, 1, -1)):
         ref = {}
@@ -51,12 +50,24 @@ def test_row_sums_match_oracle_around_the_split():
         probes = set(sizes) | set(range(0, sizes[-1] + 1, 97))
         for n in sorted(probes):
             ref[n] = row_sum_ref(c, n)
-            assert int(longest[n]) == ref[n], (c, n)
+            assert longest[n] == ref[n], (c, n)
         for n_max in sizes:
             sums = batch.row_sums(c, n_max)
-            assert sums.dtype == np.int64 and len(sums) == n_max + 1
-            assert np.array_equal(sums, longest[: n_max + 1]), (c, n_max)
-            assert int(sums[-1]) == ref[n_max], (c, n_max)
+            assert sums == longest[: n_max + 1], (c, n_max)
+            assert sums[-1] == ref[n_max], (c, n_max)
+
+
+@pytest.mark.parametrize("n_max", [(1 << 15) - 1, 1 << 15, (1 << 16) - 1])
+def test_row_sums_at_the_lane_boundaries(n_max):
+    # a(2^15 - 1) = 2^15 is the largest value a 16-bit lane holds; one index
+    # more switches to 32-bit lanes, and a(2^16 - 1) = 2^16 needs them
+    assert batch.row_sums((1, 0, 0, 1), n_max) == [1 << n.bit_count() for n in range(n_max + 1)]
+    cows = batch.row_sums((1, -1, 0, 6), n_max)
+    assert len(cows) == n_max + 1
+    pieces = {h * 4096 + d for h in range(1, (n_max >> 12) + 1) for d in (-1, 0)}
+    probes = {*range(0, n_max + 1, 97), *range(n_max - 256, n_max + 1), *pieces}
+    bad = [n for n in sorted(probes) if cows[n] != sum_direct((1, -1, 0, 6), n)]
+    assert not bad, bad[:5]
 
 
 def test_int64_overflow_is_refused():
@@ -66,8 +77,8 @@ def test_int64_overflow_is_refused():
     # C(a1*n, 0) = 1, so a(n) = 2^popcount(n)
     want = [1 << bin(n).count("1") for n in range(256)]
     for a1 in (1 << 62, 1 << 63, 1 << 200):
-        assert batch.row_sums((a1, 0, 0, 0), 255).tolist() == want, a1
-    assert int(batch.row_sums((1 << 40, 0, 0, 0), 3)[3]) == 4
+        assert batch.row_sums((a1, 0, 0, 0), 255) == want, a1
+    assert batch.row_sums((1 << 40, 0, 0, 0), 3)[3] == 4
 
 
 def test_parity_triangle_rows_match_oracle():

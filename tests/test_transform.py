@@ -1,6 +1,7 @@
 """Run decomposition, the splitting function, and both RLT routes."""
 
 import copy
+import gc
 import random
 import tracemalloc
 
@@ -170,6 +171,29 @@ def test_recurrence_template_matches_reference_products():
     fib_vals = [FIB.term(i) for i in range(16)]
     for n in range(1024):
         assert sys.eval(n) == rlt_ref(fib_vals, n)
+
+
+def test_recurrence_evaluation_holds_no_memory():
+    # a long-lived process may evaluate any number of distinct bases
+    rng = random.Random(1000)
+    bases = []
+    for _ in range(1000):
+        order = rng.randint(1, 4)
+        initial = (1, *(rng.randint(0, 9) for _ in range(order - 1)))
+        bases.append(LinearRecurrence(initial, tuple(rng.randint(0, 3) for _ in range(order))))
+    n = (1 << 16) - 1  # one run of 16: the feedback rule recurses at every level
+    rlt_by_recurrence(FIB, n)  # warm up before the baseline
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for base in bases:
+            assert rlt_by_recurrence(base, n) == rlt_by_runs(base, n)
+        gc.collect()  # count only what stays reachable
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 14, held
 
 
 def test_runs_leave_the_registry_base_unchanged():
