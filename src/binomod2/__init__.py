@@ -14,7 +14,6 @@ from .transform import (
     LinearRecurrence,
     mu,
     recurrence_rule_system,
-    rlt_by_recurrence,
     rlt_by_runs,
     rlt_prefix,
     runs_of_ones,
@@ -42,7 +41,6 @@ __all__ = [
     "LinearRecurrence",
     "rlt_by_runs",
     "rlt_prefix",
-    "rlt_by_recurrence",
     "recurrence_rule_system",
     "ResidueRule",
     "RuleSystem",

@@ -64,7 +64,7 @@ def row_sums(c: Coeffs, n_max: int) -> list[int]:
     DEFAULT_ORACLE_BOUND.
     """
     if n_max > DEFAULT_ORACLE_BOUND:
-        raise BoundExceeded(f"n={n_max} exceeds oracle bound {DEFAULT_ORACLE_BOUND}")
+        raise BoundExceeded(f"{n_max + 1} terms exceed the prefix cap of {DEFAULT_ORACLE_BOUND + 1}")
     bits = n_max.bit_length()
     width = 16 if bits <= 15 else 32
     low = min(bits, 12)

@@ -25,8 +25,8 @@ from .errors import (
     ParseError,
 )
 from .oeis_client import compare, fetch_bfile
-from .parity_core import binom_parity, f_value
-from .registry import builtin_entries, lookup, lookup_by_coefficients
+from .parity_core import DEFAULT_ORACLE_BOUND, binom_parity, f_value
+from .registry import lookup, lookup_by_coefficients
 from .rulesys import format_system
 from .transform import mu, rlt_by_runs, rlt_prefix
 from .verifier import check_lemma_corpus, check_triple_equivalence, conjecture_rules
@@ -165,9 +165,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    # the rules are derived for every n, so both bounds are the least allowed
-    bound = 4 << max(args.max_mod, 0)
-    res = conjecture_rules(args.coeffs, args.max_mod, bound, bound)
+    # the rules hold for every n, so the bounds are only checked: the cap passes
+    # the checks for every M that conjecture_rules accepts, and does not grow with M
+    res = conjecture_rules(args.coeffs, args.max_mod, DEFAULT_ORACLE_BOUND, DEFAULT_ORACLE_BOUND)
     if res.failed_residues:
         for r in res.failed_residues:
             print(f"no rule found for residue {r} mod {1 << args.max_mod}")
@@ -186,16 +186,14 @@ def cmd_oeis_compare(args) -> int:
 
 
 def cmd_triangle(args) -> int:
-    rows = list(batch.parity_triangle_rows(args.rows))
-    if args.format == "ascii":
-        for n, row in enumerate(rows):
-            print(" ".join(str((row >> k) & 1) for k in range(n + 1)))
-    else:
-        width = args.rows
+    # each row is printed as it is built: row n has n+1 bits, bit k = C(n, k) mod 2
+    pbm = args.format == "pbm"
+    if pbm:
         print("P1")
-        print(f"{width} {args.rows}")
-        for row in rows:
-            print(" ".join(str((row >> k) & 1) for k in range(width)))
+        print(f"{args.rows} {args.rows}")
+    for row in batch.parity_triangle_rows(args.rows):
+        bits = format(row, "b")[::-1]
+        print(" ".join(bits.ljust(args.rows, "0") if pbm else bits))
     return 0
 
 

@@ -2,10 +2,11 @@
 
 The transform maps a base sequence S (with S(0) = 1) to T, where T(n) is the
 product of S(l) over the lengths l of maximal 1-bit runs of n, and T(0) = 1.
-rlt_prefix fills a prefix of T with one multiply per term. For bases given
-by a linear recurrence there is an equivalent residue rule system;
-recurrence_rule_system builds it and rlt_by_recurrence evaluates through it,
-which scales to indices with thousands of bits.
+rlt_by_runs evaluates one index and rlt_prefix fills a prefix of T with one
+multiply per term; both read the base terms they need through _base_prefix.
+For bases given by a linear recurrence there is an equivalent residue rule
+system: recurrence_rule_system builds it, and its eval scales to indices
+with thousands of bits.
 """
 
 from __future__ import annotations
@@ -69,33 +70,31 @@ class LinearRecurrence:
             terms.append(sum(d * terms[-1 - i] for i, d in enumerate(self.feedback)))
         return terms
 
-    def term(self, l: int) -> int:
-        if l < 0:
-            raise ValueError("term index must be nonnegative")
-        return self.terms(l + 1)[l]
-
 
 BaseSequence = Union[LinearRecurrence, Sequence[int]]
 
 
-def base_term(S: BaseSequence, l: int) -> int:
-    if isinstance(S, LinearRecurrence):
-        return S.term(l)
-    if l >= len(S):
-        raise ExhaustedBase(f"base sequence has {len(S)} terms, run length {l} requested")
-    return S[l]
+def _base_prefix(S: BaseSequence, length: int) -> list[int]:
+    """[S(0), ..., S(length-1)]: the base terms that runs up to length-1 read.
+
+    A recurrence computes only these terms. Raises MalformedRecurrence when
+    S(0) != 1, and otherwise ExhaustedBase when a list base is too short.
+    """
+    s = S.terms(length) if isinstance(S, LinearRecurrence) else list(S[:length])
+    if s and s[0] != 1:
+        raise MalformedRecurrence("S(0) must be 1")
+    if len(s) < length:
+        raise ExhaustedBase(f"base sequence has {len(s)} terms, run length {length - 1} requested")
+    return s
 
 
 def rlt_by_runs(S: BaseSequence, n: int) -> int:
     """T(n) = product of S(l) over the 1-run lengths of n; T(0) = 1."""
     runs = runs_of_ones(n)
-    if isinstance(S, LinearRecurrence):  # the terms this call reads, and no more
-        S = S.terms(max(runs, default=0) + 1)
-    if base_term(S, 0) != 1:
-        raise MalformedRecurrence("S(0) must be 1")
+    s = _base_prefix(S, max(runs, default=0) + 1)
     value = 1
     for l in runs:
-        value *= base_term(S, l)
+        value *= s[l]
     return value
 
 
@@ -111,11 +110,7 @@ def rlt_prefix(S: BaseSequence, count: int) -> list[int]:
         raise ValueError("count must be >= 1")
     if count > DEFAULT_ORACLE_BOUND + 1:
         raise BoundExceeded(f"{count} terms exceed the prefix cap of {DEFAULT_ORACLE_BOUND + 1}")
-    if isinstance(S, LinearRecurrence):  # the terms this call reads, and no more
-        S = S.terms(count.bit_length())
-    if base_term(S, 0) != 1:
-        raise MalformedRecurrence("S(0) must be 1")
-    s = [base_term(S, l) for l in range(count.bit_length())]
+    s = _base_prefix(S, count.bit_length())
     vals = [1] * count
     for n in range(1, count):
         if n & 1:
@@ -133,7 +128,10 @@ def recurrence_rule_system(S: LinearRecurrence) -> RuleSystem:
     i < 2^k, T(wn+i) = T(i)*T(n); for odd i with 2^k <= i < w-1 and
     mu(i) = (a, b, m), T(wn+i) = T(b)*T(2^(k+1-m) n + a); and
     T(wn+w-1) = sum_j feedback[j]*T(2^(k-j) n + 2^(k-j) - 1).
+    Raises MalformedRecurrence for a base that is not a LinearRecurrence.
     """
+    if not isinstance(S, LinearRecurrence):
+        raise MalformedRecurrence("the recurrence template needs a LinearRecurrence base")
     k = S.order - 1
     me = k + 1
     w = 1 << me
@@ -149,13 +147,3 @@ def recurrence_rule_system(S: LinearRecurrence) -> RuleSystem:
     rules.append(ResidueRule(me, w - 1, last))
     return RuleSystem(rules, {0: 1})
 
-
-def rlt_by_recurrence(S: LinearRecurrence, n: int) -> int:
-    """T(n) computed only through the residue rules derived from S.
-
-    The rules are built afresh on each call; to evaluate many indices of one
-    base, build recurrence_rule_system(S) once.
-    """
-    if not isinstance(S, LinearRecurrence):
-        raise MalformedRecurrence("recurrence evaluation needs a LinearRecurrence base")
-    return recurrence_rule_system(S).eval(n)

@@ -89,6 +89,14 @@ class CorpusStatement:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """One verdict, on all 0 <= n, k <= bound or on the indices [0, bound].
+
+    checked_count is the size of the domain the verdict covers: (bound+1)^2
+    pairs (n, k), (bound+1)*bound/2 under domain=k>n, or bound+1 indices
+    for a triple. It is not the number of cells evaluated; an identity is
+    decided by the carry automaton without a grid.
+    """
+
     label: str
     bound: int
     passed: bool
@@ -374,13 +382,14 @@ def conjecture_rules(
     m = max_modulus_exp
     if m < 1:
         raise ValueError("max_modulus_exp must be >= 1")
+    # 4 * 2^m > DEFAULT_ORACLE_BOUND, compared on exponents: a huge m builds no huge int
+    if m + 2 >= DEFAULT_ORACLE_BOUND.bit_length():
+        raise BoundExceeded(f"modulus 2^{m}: 4 * 2^{m} exceeds oracle bound {DEFAULT_ORACLE_BOUND}")
     if validation_bound < sample_bound:
         raise ValueError("validation_bound must be >= sample_bound")
     w = 1 << m
     if sample_bound < 4 * w:
         raise ValueError(f"sample_bound too small; need at least {4 * w}")
-    if 4 * w > DEFAULT_ORACLE_BOUND:
-        raise BoundExceeded(f"modulus 2^{m}: 4 * 2^{m} exceeds oracle bound {DEFAULT_ORACLE_BOUND}")
     qs = _deciding_indices(c)
     values: dict[int, int] = {}
 

@@ -170,13 +170,11 @@ def test_criterion_5_parity_kernel_against_oracles():
 
 def test_criterion_6_split_and_transform_laws():
     split_ok = mu(413) == (3, 29, 7)
-    product_ok = all(
-        rlt_by_runs(e.base, 463) == e.base.term(3) * e.base.term(4)
-        for e in builtin_entries()
-    )
-    routes_ok = True
+    product_ok = routes_ok = True
     for e in builtin_entries():
-        system = recurrence_rule_system(e.base)  # rlt_by_recurrence builds it per call
+        s = e.base.terms(5)
+        product_ok &= rlt_by_runs(e.base, 463) == s[3] * s[4]
+        system = recurrence_rule_system(e.base)
         routes_ok &= all(system.eval(n) == rlt_by_runs(e.base, n) for n in range(1 << 14))
     _report(
         6,

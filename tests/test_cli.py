@@ -3,15 +3,17 @@
 import contextlib
 import gc
 import io
+import os
 import random
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomod2 import automaton
-from binomod2.cli import main
+from binomod2.cli import build_parser, main
 from binomod2.registry import builtin_entries, lookup
 from binomod2.rulesys import format_system
 
@@ -20,6 +22,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def traced_peak(call):
+    """(call(), the peak of traced memory while it ran), with the cached parser built first."""
+    build_parser()
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestScalarCommands:
@@ -192,9 +205,12 @@ class TestConjecture:
 
         monkeypatch.setattr(automaton, "linear_rep", no_work)
         monkeypatch.setattr(automaton, "sum_direct", no_work)
-        code, out, err = run(capsys, "conjecture", "--coeffs", "1,1,1,-1", "--max-mod", "23")
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "Traceback" not in err
+        for max_mod in ("23", "10000000"):
+            (code, out, err), peak = traced_peak(
+                lambda: run(capsys, "conjecture", "--coeffs", "1,1,1,-1", "--max-mod", max_mod))
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "Traceback" not in err
+            assert peak < 1 << 16, (max_mod, peak)  # no 2^M-bit integer is built
 
 
 class TestOeis:
@@ -240,6 +256,14 @@ class TestTriangle:
                        "1 0 1 0\n"
                        "1 1 1 1\n")
 
+    def test_rows_are_streamed(self):
+        # rows go out as they are built: none is stored, and no bit costs a whole-row shift
+        for fmt in ("ascii", "pbm"):
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                code, peak = traced_peak(lambda: main(["triangle", "--rows", "1024",
+                                                       "--format", fmt]))
+            assert code == 0 and peak < 1 << 16, (fmt, peak)
+
 
 class TestBadInput:
     def test_int64_coefficients_are_exact(self, capsys):
@@ -277,15 +301,20 @@ class TestBadInput:
             assert err.startswith("error:") and "Traceback" not in err
 
     def test_huge_rlt_prefix_is_refused(self, capsys):
-        # one past the 2^24 + 1 terms that the rules and oracle prefixes allow
+        # one past the 2^24 + 1 terms that every prefix route allows
         count = str((1 << 24) + 2)
+        errs = set()
         for argv in (
+            ("seq", "--entry", "fib", "--method", "oracle", "--count", count),
+            ("seq", "--entry", "fib", "--method", "rules", "--count", count),
             ("seq", "--entry", "fib", "--method", "rlt", "--count", count),
             ("rlt", "--base", "fib", "--count", count),
         ):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "", argv
             assert err.startswith("error:") and "Traceback" not in err
+            errs.add(err)
+        assert len(errs) == 1, errs
 
     @pytest.mark.parametrize("argv", [
         ("triangle", "--rows", "-2", "--format", "pbm"),

@@ -188,7 +188,7 @@ class TestCompare:
         # fib base S(l) = A000045(l + 1)
         b = fetch_bfile("A000045", cache_dir=str(tmp_path), offline=True)
         base = lookup("fib").base
-        res = compare(b, [base.term(i) for i in range(40)], offset=1)
+        res = compare(b, base.terms(40), offset=1)
         assert res.ok and res.matched == 40
 
     def test_positions_beyond_bfile_are_skipped(self):

@@ -14,10 +14,8 @@ from binomod2.parity_core import DEFAULT_ORACLE_BOUND
 from binomod2.registry import builtin_entries, lookup
 from binomod2.transform import (
     LinearRecurrence,
-    base_term,
     mu,
     recurrence_rule_system,
-    rlt_by_recurrence,
     rlt_by_runs,
     rlt_prefix,
     runs_of_ones,
@@ -79,15 +77,24 @@ def test_linear_recurrence_validation():
 
 
 def test_linear_recurrence_terms():
-    assert [FIB.term(i) for i in range(8)] == [1, 1, 2, 3, 5, 8, 13, 21]
+    assert FIB.terms(8) == [1, 1, 2, 3, 5, 8, 13, 21]
     cows = LinearRecurrence(initial=[1, 1, 1], feedback=[1, 0, 1])
-    assert [cows.term(i) for i in range(10)] == [1, 1, 1, 2, 3, 4, 6, 9, 13, 19]
+    assert cows.terms(10) == [1, 1, 1, 2, 3, 4, 6, 9, 13, 19]
 
 
-def test_base_term_explicit_list():
-    assert base_term([1, 4, 9], 2) == 9
-    with pytest.raises(ExhaustedBase):
-        base_term([1, 4, 9], 3)
+def test_list_base_refusals():
+    assert rlt_by_runs([1, 4, 9], 0b1101) == 36  # runs of 1 and 2: S(1) * S(2)
+    # S(0) != 1 is refused before a base too short for the run
+    for base, n, error in (
+        ([1, 4, 9], 7, ExhaustedBase),
+        ([], 0, ExhaustedBase),
+        ([0], 0, MalformedRecurrence),
+        ([2], 7, MalformedRecurrence),
+    ):
+        with pytest.raises(error):
+            rlt_by_runs(base, n)
+        with pytest.raises(error):
+            rlt_prefix(base, n + 1)
 
 
 def test_rlt_by_runs_examples():
@@ -130,19 +137,20 @@ def test_rlt_depends_only_on_run_multiset(lengths):
     assert rlt_by_runs(vals, build(lengths)) == rlt_by_runs(vals, build(shuffled))
 
 
-def test_rlt_by_recurrence_examples():
-    assert rlt_by_recurrence(FIB, 15) == 5
+def test_recurrence_template_examples():
+    assert recurrence_rule_system(FIB).eval(15) == 5
     pow2 = LinearRecurrence(initial=[1, 2], feedback=[2, 0])
-    assert rlt_by_recurrence(pow2, 7) == 8
-    assert rlt_by_recurrence(FIB, 0) == 1
+    assert recurrence_rule_system(pow2).eval(7) == 8
+    assert recurrence_rule_system(FIB).eval(0) == 1
+    with pytest.raises(MalformedRecurrence):
+        recurrence_rule_system([1, 1, 2])
 
 
 def test_rlt_routes_agree_on_registry_bases():
     for e in builtin_entries():
-        if not isinstance(e.base, LinearRecurrence):
-            continue
+        system = recurrence_rule_system(e.base)
         for n in range(2048):
-            assert rlt_by_recurrence(e.base, n) == rlt_by_runs(e.base, n), (e.name, n)
+            assert system.eval(n) == rlt_by_runs(e.base, n), (e.name, n)
 
 
 def test_rlt_halving_invariance():
@@ -162,13 +170,14 @@ def small_recurrences(draw):
 @given(small_recurrences())
 def test_rlt_recurrence_template_agrees_with_runs(rec):
     # nonnegative coefficients keep every rule evaluation in range
+    system = recurrence_rule_system(rec)
     for n in range(160):
-        assert rlt_by_recurrence(rec, n) == rlt_by_runs(rec, n)
+        assert system.eval(n) == rlt_by_runs(rec, n)
 
 
 def test_recurrence_template_matches_reference_products():
     sys = recurrence_rule_system(FIB)
-    fib_vals = [FIB.term(i) for i in range(16)]
+    fib_vals = FIB.terms(16)
     for n in range(1024):
         assert sys.eval(n) == rlt_ref(fib_vals, n)
 
@@ -182,13 +191,13 @@ def test_recurrence_evaluation_holds_no_memory():
         initial = (1, *(rng.randint(0, 9) for _ in range(order - 1)))
         bases.append(LinearRecurrence(initial, tuple(rng.randint(0, 3) for _ in range(order))))
     n = (1 << 16) - 1  # one run of 16: the feedback rule recurses at every level
-    rlt_by_recurrence(FIB, n)  # warm up before the baseline
+    recurrence_rule_system(FIB).eval(n)  # warm up before the baseline
     gc.collect()
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
         for base in bases:
-            assert rlt_by_recurrence(base, n) == rlt_by_runs(base, n)
+            assert recurrence_rule_system(base).eval(n) == rlt_by_runs(base, n)
         gc.collect()  # count only what stays reachable
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
